@@ -3,6 +3,10 @@
 Parameters may be float32 (training/inference), float16 (storage precision,
 f32 accumulate), or float64 (gradient checking); compute follows the wider of
 input/parameter dtypes.
+
+forward(training=False) stores nothing on the layer, so one model can encode
+on several threads at once; forward(training=True) saves what the following
+backward needs.
 """
 
 from __future__ import annotations
@@ -30,9 +34,6 @@ class Layer:
     def backward(self, grad):
         raise NotImplementedError
 
-    def zero_grads(self):
-        self.grads = {k: np.zeros_like(_wide(v)) for k, v in self.params.items()}
-
 
 class Conv2D(Layer):
     def __init__(self, in_channels, out_channels, kernel, stride=1, padding=0, rng=None):
@@ -53,35 +54,59 @@ class Conv2D(Layer):
         s, p = self.stride, self.padding
         if p:
             x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-        self._x = x
+        if training:
+            self._xh = np.ascontiguousarray(x.transpose(0, 2, 3, 1))  # padded input, NHWC
         k = w.shape[2]
         win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::s, ::s]  # (N,C,OH,OW,k,k)
-        self._win_shape = win.shape
         cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(win.shape[0], win.shape[2], win.shape[3], -1)
         out = cols @ w.reshape(w.shape[0], -1).T + b
         return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
 
     def backward(self, grad):
         w = _wide(self.params["w"])
-        s = self.stride
-        x = self._x
-        n, c, hp, wp = x.shape
+        s, p = self.stride, self.padding
+        xh = self._xh
+        n, c = xh.shape[0], xh.shape[3]
         oc, _, k, _ = w.shape
         oh, ow = grad.shape[2], grad.shape[3]
-        dx = np.zeros_like(x)
+        # Per tap (i, j), each np.dot gets exactly the operands (values,
+        # shapes, memory layout) of np.tensordot(grad, x_patch,
+        # ([0, 2, 3], [0, 2, 3])) and np.tensordot(grad, w[:, :, i, j],
+        # ([1], [0])), so results equal that reference formulation bit for
+        # bit: training amplifies any one-ulp difference into other weights.
+        g_oc = grad.transpose(1, 0, 2, 3).reshape(oc, -1)  # (OC, N*OH*OW)
+        g_rows = grad.transpose(0, 2, 3, 1).reshape(-1, oc)  # (N*OH*OW, OC)
+        dxh = np.zeros_like(xh)
         dw = np.zeros_like(w)
         for i in range(k):
             for j in range(k):
-                patch = x[:, :, i:i + s * oh:s, j:j + s * ow:s]
-                dw[:, :, i, j] = np.tensordot(grad, patch, axes=([0, 2, 3], [0, 2, 3]))
-                dx[:, :, i:i + s * oh:s, j:j + s * ow:s] += np.tensordot(
-                    grad, w[:, :, i, j], axes=([1], [0])).transpose(0, 3, 1, 2)
+                tap = (slice(None), slice(i, i + s * oh, s), slice(j, j + s * ow, s))
+                dw[:, :, i, j] = np.dot(g_oc, xh[tap].reshape(-1, c))
+                dxh[tap] += np.dot(g_rows, w[:, :, i, j]).reshape(n, oh, ow, c)
         self.grads["w"] = dw
         self.grads["b"] = grad.sum(axis=(0, 2, 3))
-        p = self.padding
+        # NCHW memory, as later reductions over this gradient sum in memory order
+        dx = np.ascontiguousarray(dxh.transpose(0, 3, 1, 2))
         if p:
             dx = dx[:, :, p:-p, p:-p]
         return dx
+
+
+def _pool_taps(x, k):
+    """The k*k strided views x[:, :, i::k, j::k] cropped to whole windows,
+    in row-major (i, j) order."""
+    oh, ow = x.shape[2] // k, x.shape[3] // k
+    return [x[:, :, i:i + oh * k:k, j:j + ow * k:k] for i in range(k) for j in range(k)]
+
+
+def max_pool(x, k):
+    """Max over non-overlapping k x k windows, dropping trailing rows and
+    columns; exact on float and integer arrays alike."""
+    taps = _pool_taps(x, k)
+    out = taps[0].copy()
+    for tap in taps[1:]:
+        np.maximum(out, tap, out=out)
+    return out
 
 
 class MaxPool2D(Layer):
@@ -90,24 +115,21 @@ class MaxPool2D(Layer):
         self.kernel = kernel
 
     def forward(self, x, training=False):
-        k = self.kernel
-        n, c, h, w = x.shape
-        oh, ow = h // k, w // k
-        self._in_shape = x.shape
-        xc = x[:, :, :oh * k, :ow * k]
-        win = xc.reshape(n, c, oh, k, ow, k).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh, ow, k * k)
-        self._arg = np.argmax(win, axis=-1)
-        return np.max(win, axis=-1)
+        out = max_pool(x, self.kernel)
+        if training:
+            self._x = x
+            self._out = out
+        return out
 
     def backward(self, grad):
-        k = self.kernel
-        n, c, h, w = self._in_shape
-        oh, ow = grad.shape[2], grad.shape[3]
-        dwin = np.zeros((n, c, oh, ow, k * k), dtype=grad.dtype)
-        np.put_along_axis(dwin, self._arg[..., None], grad[..., None], axis=-1)
-        dx = np.zeros((n, c, h, w), dtype=grad.dtype)
-        dx[:, :, :oh * k, :ow * k] = dwin.reshape(n, c, oh, ow, k, k) \
-            .transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh * k, ow * k)
+        # each gradient goes to the first window position, row-major, that
+        # holds the max: np.argmax's tie rule
+        dx = np.zeros(self._x.shape, dtype=grad.dtype)
+        free = np.ones(grad.shape, dtype=bool)
+        for tap, dtap in zip(_pool_taps(self._x, self.kernel), _pool_taps(dx, self.kernel)):
+            hit = free & (tap == self._out)
+            np.copyto(dtap, grad, where=hit)
+            free &= ~hit
         return dx
 
 
@@ -121,7 +143,8 @@ class Dense(Layer):
         self.params = {"w": w, "b": np.zeros(out_dim, np.float32)}
 
     def forward(self, x, training=False):
-        self._x = x
+        if training:
+            self._x = x
         return x @ _wide(self.params["w"]) + _wide(self.params["b"])
 
     def backward(self, grad):
@@ -132,8 +155,10 @@ class Dense(Layer):
 
 class ReLU(Layer):
     def forward(self, x, training=False):
-        self._mask = x > 0
-        return x * self._mask
+        mask = x > 0
+        if training:
+            self._mask = mask
+        return x * mask
 
     def backward(self, grad):
         return grad * self._mask
@@ -161,19 +186,13 @@ class BatchNorm2D(Layer):
             self._mu = mu
             self._inv_std = 1.0 / np.sqrt(var + self.eps)
             self._xhat = (x - mu[None, :, None, None]) * self._inv_std[None, :, None, None]
-            self._training = True
             return gamma * self._xhat + beta
-        self._training = False
         rm = _wide(self.running_mean)[None, :, None, None]
         rv = _wide(self.running_var)[None, :, None, None]
-        self._inf_scale = gamma / np.sqrt(rv + self.eps)
-        return self._inf_scale * (x - rm) + beta
+        scale = gamma / np.sqrt(rv + self.eps)
+        return scale * (x - rm) + beta
 
     def backward(self, grad):
-        if not self._training:
-            self.grads["gamma"] = np.zeros_like(_wide(self.params["gamma"]))
-            self.grads["beta"] = grad.sum(axis=(0, 2, 3))
-            return grad * self._inf_scale
         gamma = _wide(self.params["gamma"])
         m = float(grad.shape[0] * grad.shape[2] * grad.shape[3])
         self.grads["gamma"] = (grad * self._xhat).sum(axis=(0, 2, 3))
@@ -190,7 +209,8 @@ class BatchNorm2D(Layer):
 
 class Flatten(Layer):
     def forward(self, x, training=False):
-        self._shape = x.shape
+        if training:
+            self._shape = x.shape
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad):
@@ -209,6 +229,36 @@ class Unflatten(Layer):
         return grad.reshape(grad.shape[0], -1)
 
 
+def _nearest_source(n_in, n_out):
+    """Source index of each of n_out nearest-neighbor targets (non-decreasing)."""
+    return np.minimum(np.floor((np.arange(n_out) + 0.5) * (n_in / n_out)).astype(np.int64), n_in - 1)
+
+
+def _as_slice(idx):
+    """An increasing index array as a slice when evenly spaced."""
+    step = idx[1] - idx[0] if idx.size > 1 else 1
+    return slice(idx[0], idx[-1] + 1, step) if np.all(np.diff(idx) == step) else idx
+
+
+def _runs_by_offset(n_in, n_out):
+    """(sources, targets) for r = 0, 1, ...: each source whose nearest-neighbor
+    run has an r-th target, paired with that target."""
+    src = _nearest_source(n_in, n_out)
+    offset = np.arange(n_out) - np.searchsorted(src, src)
+    runs = []
+    for r in range(offset.max() + 1):
+        tgt = np.flatnonzero(offset == r)
+        runs.append((_as_slice(src[tgt]), _as_slice(tgt)))
+    return runs
+
+
+def _grid(rows, cols):
+    """Index of the (rows x cols) grid of an NCHW array."""
+    if isinstance(rows, slice) or isinstance(cols, slice):
+        return (slice(None), slice(None), rows, cols)
+    return (slice(None), slice(None), rows[:, None], cols)
+
+
 class Upsample(Layer):
     """Nearest-neighbor resize to a fixed target size (inverse of pooling or
     strided convolution in mirrored decoders)."""
@@ -220,13 +270,17 @@ class Upsample(Layer):
     def forward(self, x, training=False):
         th, tw = self.target_hw
         h, w = x.shape[2], x.shape[3]
-        self._in_hw = (h, w)
-        self._yi = np.minimum(np.floor((np.arange(th) + 0.5) * (h / th)).astype(np.int64), h - 1)
-        self._xi = np.minimum(np.floor((np.arange(tw) + 0.5) * (w / tw)).astype(np.int64), w - 1)
-        return x[:, :, self._yi][:, :, :, self._xi]
+        if training:
+            self._in_hw = (h, w)
+        return x[:, :, _nearest_source(h, th)][:, :, :, _nearest_source(w, tw)]
 
     def backward(self, grad):
-        h, w = self._in_hw
+        (h, w), (th, tw) = self._in_hw, self.target_hw
         dx = np.zeros(grad.shape[:2] + (h, w), dtype=grad.dtype)
-        np.add.at(dx, (slice(None), slice(None), self._yi[:, None], self._xi[None, :]), grad)
+        # Sums each source pixel's targets from zero in row-major target
+        # order, as np.add.at does, one run offset (ry, rx) per slice add.
+        col_runs = _runs_by_offset(w, tw)
+        for ys, ty in _runs_by_offset(h, th):
+            for xs, tx in col_runs:
+                dx[_grid(ys, xs)] += grad[_grid(ty, tx)]
         return dx

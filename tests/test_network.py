@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from oodkit.network import (
     LOG_VAR,
@@ -18,7 +19,7 @@ from oodkit.network import (
     save_model,
     train,
 )
-from oodkit.network.layers import BatchNorm2D, Conv2D, Dense, MaxPool2D, ReLU
+from oodkit.network.layers import BatchNorm2D, Conv2D, Dense, MaxPool2D, ReLU, Upsample
 from oodkit.network.model import (
     BatchNormSpec,
     ConvSpec,
@@ -430,3 +431,163 @@ def test_mig_degenerate_factor_errors():
     latents = np.random.default_rng(13).normal(size=(100, 3))
     with pytest.raises(ValueError):
         mig_from_latents(latents, {"f": np.zeros(100)})
+
+
+# ----------------------------------------------------------------------------
+# Reference kernels: the plain formulations the layers must reproduce bit for
+# bit (same BLAS operands, same per-element summation order).
+
+class RefConv2D(Conv2D):
+    def forward(self, x, training=False):
+        s, p = self.stride, self.padding
+        if p:
+            x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+        self._x = x
+        w = self.params["w"]
+        k = w.shape[2]
+        win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::s, ::s]
+        cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(win.shape[0], win.shape[2], win.shape[3], -1)
+        out = cols @ w.reshape(w.shape[0], -1).T + self.params["b"]
+        return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+
+    def backward(self, grad):
+        w = self.params["w"]
+        s, x = self.stride, self._x
+        k = w.shape[2]
+        oh, ow = grad.shape[2], grad.shape[3]
+        dx = np.zeros_like(x)
+        dw = np.zeros_like(w)
+        for i in range(k):
+            for j in range(k):
+                patch = x[:, :, i:i + s * oh:s, j:j + s * ow:s]
+                dw[:, :, i, j] = np.tensordot(grad, patch, axes=([0, 2, 3], [0, 2, 3]))
+                dx[:, :, i:i + s * oh:s, j:j + s * ow:s] += np.tensordot(
+                    grad, w[:, :, i, j], axes=([1], [0])).transpose(0, 3, 1, 2)
+        self.grads["w"] = dw
+        self.grads["b"] = grad.sum(axis=(0, 2, 3))
+        p = self.padding
+        return dx[:, :, p:-p, p:-p] if p else dx
+
+
+class RefMaxPool2D(MaxPool2D):
+    def forward(self, x, training=False):
+        k = self.kernel
+        n, c, h, w = x.shape
+        oh, ow = h // k, w // k
+        self._in_shape = x.shape
+        win = x[:, :, :oh * k, :ow * k].reshape(n, c, oh, k, ow, k) \
+            .transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh, ow, k * k)
+        self._arg = np.argmax(win, axis=-1)
+        return np.max(win, axis=-1)
+
+    def backward(self, grad):
+        k = self.kernel
+        n, c, h, w = self._in_shape
+        oh, ow = grad.shape[2], grad.shape[3]
+        dwin = np.zeros((n, c, oh, ow, k * k), dtype=grad.dtype)
+        np.put_along_axis(dwin, self._arg[..., None], grad[..., None], axis=-1)
+        dx = np.zeros((n, c, h, w), dtype=grad.dtype)
+        dx[:, :, :oh * k, :ow * k] = dwin.reshape(n, c, oh, ow, k, k) \
+            .transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh * k, ow * k)
+        return dx
+
+
+class RefUpsample(Upsample):
+    def forward(self, x, training=False):
+        th, tw = self.target_hw
+        h, w = x.shape[2], x.shape[3]
+        self._in_hw = (h, w)
+        self._yi = np.minimum(np.floor((np.arange(th) + 0.5) * (h / th)).astype(np.int64), h - 1)
+        self._xi = np.minimum(np.floor((np.arange(tw) + 0.5) * (w / tw)).astype(np.int64), w - 1)
+        return x[:, :, self._yi][:, :, :, self._xi]
+
+    def backward(self, grad):
+        h, w = self._in_hw
+        dx = np.zeros(grad.shape[:2] + (h, w), dtype=grad.dtype)
+        np.add.at(dx, (slice(None), slice(None), self._yi[:, None], self._xi[None, :]), grad)
+        return dx
+
+
+def assert_same_pass(layer, ref, x, rng):
+    """Forward, dx and every grad bit-equal between a layer and its reference."""
+    out = layer.forward(x, training=True)
+    want = ref.forward(x, training=True)
+    assert out.dtype == want.dtype and np.array_equal(out, want)
+    grad = rng.normal(size=out.shape).astype(x.dtype)
+    dx = layer.backward(grad)
+    want_dx = ref.backward(grad)
+    assert dx.dtype == want_dx.dtype and np.array_equal(dx, want_dx)
+    assert layer.grads.keys() == ref.grads.keys()
+    for name in ref.grads:
+        assert np.array_equal(layer.grads[name], ref.grads[name]), name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n,c,oc,hw,k,stride,pad", [
+    (1, 3, 16, (12, 12), 3, 1, 1),   # bvae block
+    (16, 16, 8, (12, 12), 3, 1, 1),
+    (4, 6, 8, (48, 64), 5, 3, 2),    # flow encoder block
+    (16, 16, 32, (2, 3), 5, 3, 2),   # flow encoder's last block: 1x1 output
+    (3, 2, 4, (9, 7), 3, 2, 0),      # odd sizes, stride 2, no padding
+    (2, 1, 1, (5, 5), 1, 1, 0),
+])
+def test_conv_bit_equal_to_reference(dtype, n, c, oc, hw, k, stride, pad):
+    rng = np.random.default_rng(30)
+    layer = Conv2D(c, oc, k, stride, pad, rng)
+    layer.params = {name: v.astype(dtype) for name, v in layer.params.items()}
+    layer.params["b"] += rng.normal(size=oc).astype(dtype)
+    ref = RefConv2D(c, oc, k, stride, pad)
+    ref.params = layer.params
+    x = rng.normal(size=(n, c) + hw).astype(dtype)
+    assert_same_pass(layer, ref, x, rng)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape,k", [
+    ((16, 16, 48, 48), 2),
+    ((3, 2, 9, 7), 2),    # trailing row and column dropped
+    ((2, 3, 10, 11), 3),
+])
+def test_maxpool_bit_equal_to_reference_with_ties(dtype, shape, k):
+    rng = np.random.default_rng(31)
+    # coarse integer values, ReLU'd: most windows hold ties, many at zero
+    x = np.maximum(rng.integers(-3, 3, shape), 0).astype(dtype)
+    assert_same_pass(MaxPool2D(k), RefMaxPool2D(k), x, rng)
+
+
+def test_maxpool_kernel_exact_on_integer_codes():
+    from oodkit.network.quantize import _QMaxPool
+    q = np.random.default_rng(32).integers(-128, 128, (2, 3, 9, 7))
+    want = RefMaxPool2D(2).forward(q)
+    got = _QMaxPool(2).run(q)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("in_hw,target_hw", [((3, 3), (6, 6)), ((5, 7), (11, 16)),
+                                             ((22, 8), (64, 16)), ((4, 4), (4, 4)),
+                                             ((7, 5), (3, 4))])
+def test_upsample_bit_equal_to_reference(dtype, in_hw, target_hw):
+    rng = np.random.default_rng(33)
+    x = rng.normal(size=(4, 3) + in_hw).astype(dtype)
+    assert_same_pass(Upsample(target_hw), RefUpsample(target_hw), x, rng)
+
+
+@pytest.mark.parametrize("cast", [False, True])
+def test_inference_stores_nothing_on_layers(cast):
+    for spec in (bvae_spec(24, 24, 3, n_latent=4), of_encoder_spec(48, 64, 6)):
+        model = random_model(spec, seed=14)
+        if cast:
+            model = cast_model_f16(model)
+        layers = model.encoder + model.decoder
+        before = [dict(vars(layer)) for layer in layers]
+        saved = [{k: v.copy() for k, v in layer.params.items()} for layer in layers]
+        xs = np.random.default_rng(15).uniform(
+            0, 1, (2, spec.in_channels) + tuple(spec.input_hw)).astype(np.float32)
+        mu, _ = model.encode_batch(xs)
+        model.decode_batch(mu)
+        for layer, was, params in zip(layers, before, saved):
+            now = vars(layer)
+            assert now.keys() == was.keys(), type(layer).__name__
+            assert all(now[k] is was[k] for k in was), type(layer).__name__
+            assert all(np.array_equal(layer.params[k], params[k]) for k in params)
