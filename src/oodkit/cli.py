@@ -10,6 +10,7 @@ Exit codes: 0 requirements pass, 1 requirements failed, 2 execution error.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
@@ -64,8 +65,7 @@ from .workflow import (
     flow_fitness,
     flow_stacks_for_sequences,
     preprocess_bvae,
-    score_bvae_stream,
-    score_flow_stream,
+    score_stream,
     sweep_decay,
     train_bvae,
 )
@@ -150,12 +150,6 @@ def _load_bundle(run: Path, cfg: ExperimentConfig, precision: str):
         return BvaeBundle(genome, models[0], calibs[0], pp)
     return FlowBundle(genome, models[0], models[1], calibs[0], calibs[1], pp,
                       cfg.farneback)
-
-
-def _score_stream_fn(bundle):
-    if isinstance(bundle, BvaeBundle):
-        return lambda seq: score_bvae_stream(bundle, seq)
-    return lambda seq: score_flow_stream(bundle, seq)
 
 
 def _test_streams(cfg, rows, images):
@@ -293,7 +287,8 @@ def cmd_evaluate(args):
     rows, images = _dataset(run)
     bundle = _load_bundle(run, cfg, args.precision)
     streams = _test_streams(cfg, rows, images)
-    factor_auroc, fitness = evaluate_streams(_score_stream_fn(bundle), streams)
+    factor_auroc, fitness = evaluate_streams(
+        lambda seq: score_stream(bundle, seq), streams)
     out = {"precision": args.precision, "fitness": fitness,
            "per_factor_auroc": factor_auroc,
            "decay": bundle.postprocess.decay}
@@ -424,7 +419,8 @@ def cmd_throughput(args):
     cfg = _config(args, run)
     rows, images = _dataset(run)
     frames, _ = _bench_source(cfg, rows, images)
-    lines = ["precision,executor,rate_fps,sustained_fps,backlog_slope,drops,sustained"]
+    lines = [["precision", "executor", "rate_fps", "sustained_fps", "backlog_slope",
+              "drops", "sustained"]]
     for precision in cfg.precisions:
         try:
             bundle = _load_bundle(run, cfg, precision)
@@ -436,13 +432,14 @@ def cmd_throughput(args):
                                       cfg.bench.throughput_duration_s,
                                       lambda i: frames[i % len(frames)])
             for e in report.entries:
-                lines.append(f"{precision},{kind.kind},{e.rate_fps:g},"
-                             f"{e.sustained_fps:.3f},{e.backlog_slope:.3f},"
-                             f"{e.drops},{int(e.sustained)}")
+                lines.append([precision, kind.kind, f"{e.rate_fps:g}",
+                              f"{e.sustained_fps:.3f}", f"{e.backlog_slope:.3f}",
+                              e.drops, int(e.sustained)])
                 print(f"{precision}/{kind.kind}@{e.rate_fps:g}fps: "
                       f"sustained={e.sustained_fps:.1f} ({'ok' if e.sustained else 'backlog'})")
     (run / "bench").mkdir(exist_ok=True)
-    (run / "bench" / "throughput.csv").write_text("\n".join(lines) + "\n")
+    with (run / "bench" / "throughput.csv").open("w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(lines)
     return 0
 
 
@@ -469,26 +466,22 @@ def cmd_report(args):
     tp_path = run / "bench" / "throughput.csv"
     cells = {}
     if bench_path.exists():
-        header, *rows_csv = bench_path.read_text().strip().splitlines()
-        cols = header.split(",")
-        for line in rows_csv:
-            vals = dict(zip(cols, line.split(",")))
-            if vals.get("error"):
-                continue
-            key = (vals["precision"], vals["executor"])
-            cells[key] = {"mean_ms": float(vals["mean_ms"])}
+        with bench_path.open(newline="") as fh:
+            for vals in csv.DictReader(fh):
+                if vals.get("error"):
+                    continue
+                key = (vals["precision"], vals["executor"])
+                cells[key] = {"mean_ms": float(vals["mean_ms"])}
     else:
         gaps.append("missing bench results (run bench)")
     if tp_path.exists():
-        header, *rows_csv = tp_path.read_text().strip().splitlines()
-        cols = header.split(",")
-        for line in rows_csv:
-            vals = dict(zip(cols, line.split(",")))
-            key = (vals["precision"], vals["executor"])
-            if key in cells:
-                best = max(cells[key].get("max_sustained_fps", 0.0),
-                           float(vals["sustained_fps"]) if int(vals["sustained"]) else 0.0)
-                cells[key]["max_sustained_fps"] = best
+        with tp_path.open(newline="") as fh:
+            for vals in csv.DictReader(fh):
+                key = (vals["precision"], vals["executor"])
+                if key in cells:
+                    fps = float(vals["sustained_fps"]) if int(vals["sustained"]) else 0.0
+                    cells[key]["max_sustained_fps"] = max(
+                        cells[key].get("max_sustained_fps", 0.0), fps)
     else:
         gaps.append("missing throughput results (run throughput)")
 

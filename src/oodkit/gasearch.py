@@ -207,10 +207,6 @@ class MemoizedEvaluator:
         return fitness, factors, hit
 
 
-def evaluate_fitness(genome: Genome, evaluator: MemoizedEvaluator):
-    return evaluator(genome)
-
-
 @dataclass
 class GARecord:
     generation: int

@@ -14,8 +14,6 @@ from .model import (
     VAR,
     beta_vae_loss,
     bvae_spec,
-    decode,
-    encode,
     kl_standard_normal,
     of_encoder_spec,
 )
@@ -34,9 +32,9 @@ from .train import TrainOpts, loss_and_grads, train
 __all__ = [
     "BatchNormSpec", "ConvSpec", "DenseSpec", "DetectorModel", "FlattenSpec",
     "LatentOutput", "LOG_VAR", "MaxPoolSpec", "ModelSpec", "NEG_LOG_VAR",
-    "ReluSpec", "VAR", "beta_vae_loss", "bvae_spec", "decode", "encode",
-    "kl_standard_normal", "of_encoder_spec", "cast_model_f16", "fold_batchnorm",
-    "quantize_model", "OodmChecksumError", "OodmError", "OodmMagicError",
+    "ReluSpec", "VAR", "beta_vae_loss", "bvae_spec", "kl_standard_normal",
+    "of_encoder_spec", "cast_model_f16", "fold_batchnorm", "quantize_model",
+    "OodmChecksumError", "OodmError", "OodmMagicError",
     "OodmVersionError", "load_model", "model_checksum", "save_model",
     "TrainOpts", "loss_and_grads", "train", "mig_from_latents", "mig_score",
 ]

@@ -308,14 +308,6 @@ class DetectorModel:
         return out
 
 
-def encode(model: DetectorModel, x: np.ndarray) -> LatentOutput:
-    return model.encode(x)
-
-
-def decode(model: DetectorModel, z: np.ndarray) -> np.ndarray:
-    return model.decode(z)
-
-
 def kl_standard_normal(mu: np.ndarray, var: np.ndarray, axis=-1) -> np.ndarray:
     return 0.5 * np.sum(mu**2 + var - np.log(var) - 1.0, axis=axis)
 

@@ -8,16 +8,21 @@ source at a target rate, under one of three scheduling semantics:
   MONO_MT  - a shared pool executes ready callbacks, except stateful stages,
              which stay mutually exclusive and in frame order.
 
-Score sequences are bit-identical across the three semantics; only timing and
-throughput differ.
+All three share one executor core (per-stage FIFOs, routing and failure
+handling) and differ only in their dispatch policy. Offline scoring uses the
+same core with no threads: run_in_order drains each frame through the graph
+in the calling thread. Score sequences are bit-identical across all of them;
+only timing and throughput differ.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import os
-import queue
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -159,171 +164,165 @@ class RunStats:
     backlog_samples: list = field(default_factory=list)
 
 
-def _execute(graph: CallbackGraph, kind: ExecutorKind, source, clock=None) -> RunStats:
+class _Run:
+    """One run of a graph over n frames, shared by every dispatch policy: a
+    runner and a FIFO of (seq, payload, branch) per stage, one route and one
+    failure path. Policies differ only in which thread takes from which FIFO;
+    a thread with nothing to take sleeps on the wake-up condition of the
+    stages it serves until route or the end of the run notifies it."""
+
+    def __init__(self, graph: CallbackGraph, n: int, clock=None, shared_wakeup=True):
+        self.order = [s.name for s in graph.stages]
+        self.runners = {s.name: _Runner(s, len(graph.predecessors[s.name]))
+                        for s in graph.stages}
+        branch_of = {(p, m): i for m in self.order
+                     for i, p in enumerate(graph.predecessors[m])}
+        # (successor, input branch) per stage; key None is the frame source
+        self.routes = {name: [(m, branch_of[(name, m)]) for m in graph.successors[name]]
+                       for name in self.order}
+        self.routes[None] = [(graph.source, 0)]
+        self.pending = {name: deque() for name in self.order}
+        self.lock = threading.Lock()
+        if shared_wakeup:
+            self.wakeup = dict.fromkeys(self.order, threading.Condition(self.lock))
+        else:
+            self.wakeup = {name: threading.Condition(self.lock) for name in self.order}
+        self.results = [None] * n
+        self.done = np.zeros(n)
+        self.n_done = 0
+        self.errors = []
+        self.over = threading.Event()
+        self.clock = clock
+
+    def route(self, name, seq, out):
+        """Queue one output of stage name (None: a frame from the source) for
+        its successors, or record it as the frame's result at the sink."""
+        succ = self.routes[name]
+        if not succ:
+            self.results[seq] = out
+            if self.clock is not None:
+                self.done[seq] = self.clock.monotonic()
+            with self.lock:
+                self.n_done += 1
+                if self.n_done == len(self.results):
+                    self._end()
+            return
+        with self.lock:
+            for m, branch in succ:
+                self.pending[m].append((seq, out, branch))
+                self.wakeup[m].notify()
+
+    def fail(self, exc):
+        with self.lock:
+            self.errors.append(exc)
+            self._end()
+
+    def _end(self):
+        self.over.set()
+        for cv in set(self.wakeup.values()):
+            cv.notify_all()
+
+    def step(self, name) -> bool:
+        """Run the oldest pending callback of one stage; False if there was
+        none, the run is over, or the callback raised."""
+        with self.lock:
+            if self.over.is_set() or not self.pending[name]:
+                return False
+            seq, payload, branch = self.pending[name].popleft()
+        try:
+            outputs = self.runners[name].submit(seq, payload, branch)
+        except Exception as exc:  # noqa: BLE001 - reported to the caller
+            self.fail(exc)
+            return False
+        for oseq, out in outputs:
+            self.route(name, oseq, out)
+        return True
+
+    def sweep(self, names) -> bool:
+        """One pass over the stages in order, running at most one ready
+        callback per stage (the collected-set semantics of a shared-executor
+        node); True if any ran."""
+        ran = False
+        for name in names:
+            ran = self.step(name) or ran
+        return ran
+
+    def serve(self, names):
+        """Worker loop over the given stages until the run is over."""
+        cv = self.wakeup[names[0]]
+        while not self.over.is_set():
+            if not self.sweep(names):
+                with self.lock:
+                    while not (self.over.is_set() or any(self.pending[n] for n in names)):
+                        cv.wait()
+
+
+def _execute(graph: CallbackGraph, kind: ExecutorKind, source: dict, clock=None) -> RunStats:
+    """Pump source["frames"] into the graph at source["rate_fps"] (None: all
+    at once) under the kind's dispatch policy: CHAIN_MT gives every stage its
+    own worker; MONO_ST and MONO_MT run 1 or kind.workers workers that each
+    sweep all stages in registration order."""
     clock = clock or _Clock
-    frames = list(source["frames"]) if isinstance(source, dict) else list(source.frames)
-    rate = source.get("rate_fps") if isinstance(source, dict) else source.rate_fps
+    frames = list(source["frames"])
+    rate = source.get("rate_fps")
     n = len(frames)
     if n == 0:
         raise ValueError("empty frame source")
 
-    runners = {s.name: _Runner(s, len(graph.predecessors[s.name])) for s in graph.stages}
-    branch_of = {}
-    for name in graph.by_name:
-        for i, p in enumerate(graph.predecessors[name]):
-            branch_of[(p, name)] = i
-
-    ingress = np.zeros(n)
-    done_ts = np.zeros(n)
-    results = [None] * n
-    done_count = [0]
-    done_lock = threading.Lock()
-    all_done = threading.Event()
-    errors = []
-    stats = RunStats(results, ingress, done_ts)
-
-    def record(seq, value):
-        results[seq] = value
-        done_ts[seq] = clock.monotonic()
-        with done_lock:
-            done_count[0] += 1
-            if done_count[0] == n:
-                all_done.set()
-
-    def fail(exc):
-        errors.append(exc)
-        all_done.set()
-
+    run = _Run(graph, n, clock, shared_wakeup=kind.kind != CHAIN_MT)
     if kind.kind == CHAIN_MT:
-        stage_q = {s.name: queue.Queue() for s in graph.stages}
-
-        def route(name, seq, out):
-            succ = graph.successors[name]
-            if not succ:
-                record(seq, out)
-            else:
-                for m in succ:
-                    stage_q[m].put((seq, out, branch_of[(name, m)]))
-
-        def stage_loop(name):
-            runner = runners[name]
-            stops = 0
-            while True:
-                item = stage_q[name].get()
-                if item is None:
-                    stops += 1
-                    if stops >= runner.n_inputs:
-                        for m in graph.successors[name]:
-                            stage_q[m].put(None)
-                        return
-                    continue
-                if all_done.is_set() and errors:
-                    continue  # drain after failure
-                seq, payload, branch = item
-                try:
-                    outputs = runner.submit(seq, payload, branch)
-                except Exception as exc:  # noqa: BLE001 - reported to the caller
-                    fail(exc)
-                    continue
-                for oseq, out in outputs:
-                    route(name, oseq, out)
-
-        threads = [threading.Thread(target=stage_loop, args=(s.name,), daemon=True)
-                   for s in graph.stages]
-        backlog_fn = lambda: sum(q.qsize() for q in stage_q.values())  # noqa: E731
-        emit = lambda seq, f: stage_q[graph.source].put((seq, f, 0))  # noqa: E731
-        finish = lambda: stage_q[graph.source].put(None)  # noqa: E731
+        served = [[name] for name in run.order]
     else:
-        # monolithic executors: per-stage FIFO topics; each worker pass sweeps
-        # the stages in registration order and executes one ready callback per
-        # stage (the collected-set semantics of a shared-executor node)
-        n_workers = 1 if kind.kind == MONO_ST else kind.workers
-        pending = {s.name: [] for s in graph.stages}
-        cv = threading.Condition()
-        order = [s.name for s in graph.stages]
-
-        def route(name, seq, out):
-            succ = graph.successors[name]
-            if not succ:
-                record(seq, out)
-            else:
-                with cv:
-                    for m in succ:
-                        pending[m].append((seq, out, branch_of[(name, m)]))
-                    cv.notify_all()
-
-        def worker():
-            while not all_done.is_set():
-                executed = False
-                for name in order:
-                    with cv:
-                        item = pending[name].pop(0) if pending[name] else None
-                    if item is None:
-                        continue
-                    seq, payload, branch = item
-                    try:
-                        outputs = runners[name].submit(seq, payload, branch)
-                    except Exception as exc:  # noqa: BLE001 - reported to the caller
-                        fail(exc)
-                        return
-                    for oseq, out in outputs:
-                        route(name, oseq, out)
-                    executed = True
-                if not executed:
-                    with cv:
-                        if not any(pending.values()) and not all_done.is_set():
-                            cv.wait(timeout=0.005)
-
-        threads = [threading.Thread(target=worker, daemon=True) for _ in range(n_workers)]
-        backlog_fn = lambda: sum(len(q) for q in pending.values())  # noqa: E731
-
-        def emit(seq, f):
-            with cv:
-                pending[graph.source].append((seq, f, 0))
-                cv.notify_all()
-
-        finish = lambda: None  # noqa: E731
-
-    watcher = threading.Thread(
-        target=_watch_backlog, args=(stats, backlog_fn, all_done, clock), daemon=True)
+        served = [run.order] * (1 if kind.kind == MONO_ST else kind.workers)
+    stats = RunStats(run.results, np.zeros(n), run.done)
+    threads = [threading.Thread(target=run.serve, args=(names,), daemon=True)
+               for names in served]
+    threads.append(threading.Thread(target=_watch_backlog, args=(stats, run, clock),
+                                    daemon=True))
     for t in threads:
         t.start()
-    watcher.start()
 
     stats.pump_t0 = clock.monotonic()
-    t0 = stats.pump_t0
     for seq, frame in enumerate(frames):
+        if run.over.is_set():
+            break  # a stage failed; the rest of the schedule would run for nothing
         if rate:
-            target = t0 + seq / rate
+            target = stats.pump_t0 + seq / rate
             now = clock.monotonic()
             if target > now:
                 clock.sleep(target - now)
-        ingress[seq] = clock.monotonic()
-        emit(seq, frame)
+        stats.ingress[seq] = clock.monotonic()
+        run.route(None, seq, frame)
     stats.pump_t1 = clock.monotonic()
-    finish()
 
-    all_done.wait()
-    if kind.kind != CHAIN_MT:
-        with cv:
-            cv.notify_all()
-    if kind.kind == CHAIN_MT and errors:
-        # unblock stage threads waiting on their queues
-        for q in stage_q.values():
-            q.put(None)
-            q.put(None)
+    run.over.wait()
     for t in threads:
         t.join()
-    watcher.join()
-    if errors:
-        raise errors[0]
+    if run.errors:
+        raise run.errors[0]
     return stats
 
 
-def _watch_backlog(stats: RunStats, backlog_fn, all_done: threading.Event, clock):
-    while not all_done.is_set():
-        stats.backlog_samples.append((clock.monotonic(), backlog_fn()))
-        all_done.wait(0.02)
+def run_in_order(graph: CallbackGraph, frames) -> list:
+    """The graph run synchronously in the calling thread, each frame drained
+    through every stage before the next is fed: no threads, clock or backlog
+    watcher. Returns the sink output of every frame in frame order."""
+    frames = list(frames)
+    run = _Run(graph, len(frames))
+    for seq, frame in enumerate(frames):
+        run.route(None, seq, frame)
+        while run.sweep(run.order):
+            pass
+        if run.errors:
+            raise run.errors[0]
+    return run.results
+
+
+def _watch_backlog(stats: RunStats, run: _Run, clock):
+    while not run.over.is_set():
+        backlog = sum(len(q) for q in run.pending.values())
+        stats.backlog_samples.append((clock.monotonic(), backlog))
+        run.over.wait(0.02)
 
 
 @dataclass(frozen=True)
@@ -587,16 +586,10 @@ BENCH_CSV_COLUMNS = [
 def bench_rows_to_csv(rows) -> str:
     extra = sorted({k for r in rows for k in r if k.startswith("sustained_fps_at_")})
     cols = BENCH_CSV_COLUMNS + extra
-    lines = [",".join(cols)]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(cols)
     for r in rows:
-        vals = []
-        for c in cols:
-            v = r.get(c)
-            if v is None:
-                vals.append("")
-            elif isinstance(v, float):
-                vals.append(f"{v:.6g}")
-            else:
-                vals.append(str(v).replace(",", ";"))
-        lines.append(",".join(vals))
-    return "\n".join(lines) + "\n"
+        writer.writerow([f"{v:.6g}" if isinstance(v, float) else v
+                         for v in (r.get(c) for c in cols)])
+    return out.getvalue()

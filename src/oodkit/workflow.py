@@ -17,13 +17,12 @@ from .network import DetectorModel, TrainOpts, bvae_spec, of_encoder_spec, train
 from .network.model import VAR
 from .oodcore import (
     CalibrationSet,
-    DetectorState,
     PostprocessConfig,
     auroc,
     build_calibration,
     check_precision_match,
     harmonic_fitness,
-    score_frame,
+    score_frame,  # noqa: F401 - a hook point: tracers wrap workflow.score_frame
 )
 from .optflow import FarnebackParams, farneback_flow, stack_flows
 
@@ -121,35 +120,13 @@ def combine_scores(s_u: float, s_v: float, mode: str) -> float:
     return 0.5 * (s_u + s_v)
 
 
-def score_bvae_stream(bundle: BvaeBundle, images) -> np.ndarray:
-    """Per-frame scores of one stream; fresh detector state."""
-    state = DetectorState(window=bundle.postprocess.window)
-    scores = []
-    for img in images:
-        latent = bundle.model.encode(preprocess_bvae(img, bundle.genome))
-        state, s = score_frame(state, latent, bundle.calib, bundle.postprocess)
-        scores.append(s)
-    return np.asarray(scores)
-
-
-def score_flow_stream(bundle: FlowBundle, images) -> np.ndarray:
-    """Per-frame scores of one frame sequence; warm-up frames are skipped."""
-    hist = FlowHistory(depth=bundle.genome.flow_depth)
-    state_u = DetectorState(window=bundle.postprocess.window)
-    state_v = DetectorState(window=bundle.postprocess.window)
-    scores = []
-    for img in images:
-        stacks = of_preprocess_step(img, bundle.genome, bundle.farneback, hist,
-                                    bundle.crop_box)
-        if stacks is None:
-            continue
-        u_stack, v_stack = stacks
-        lat_u = bundle.model_u.encode(u_stack)
-        lat_v = bundle.model_v.encode(v_stack)
-        state_u, s_u = score_frame(state_u, lat_u, bundle.calib_u, bundle.postprocess)
-        state_v, s_v = score_frame(state_v, lat_v, bundle.calib_v, bundle.postprocess)
-        scores.append(combine_scores(s_u, s_v, bundle.postprocess.combine))
-    return np.asarray(scores)
+def score_stream(bundle, frames) -> np.ndarray:
+    """Per-frame scores of one stream from the deployed detector graph, run in
+    frame order in the calling thread with fresh state; warm-up frames that
+    the detector leaves unscored are dropped."""
+    from .pipeline import build_graph, run_in_order  # pipeline imports this module
+    return np.asarray([s for s in run_in_order(build_graph(bundle), frames)
+                       if s is not None])
 
 
 def evaluate_streams(score_stream_fn, streams: dict) -> tuple:
@@ -212,7 +189,7 @@ def bvae_fitness(genome: Genome, ctx: BvaeTrainContext):
     """The GA objective: full train/calibrate/evaluate loop for one genome."""
     bundle = bvae_bundle_for_genome(genome, ctx)
     factor_auroc, fitness = evaluate_streams(
-        lambda seq: score_bvae_stream(bundle, seq), ctx.test_streams)
+        lambda seq: score_stream(bundle, seq), ctx.test_streams)
     return fitness, factor_auroc
 
 
@@ -265,18 +242,13 @@ def flow_bundle_for_genome(genome: Genome, ctx: FlowTrainContext) -> FlowBundle:
 def flow_fitness(genome: Genome, ctx: FlowTrainContext):
     bundle = flow_bundle_for_genome(genome, ctx)
     factor_auroc, fitness = evaluate_streams(
-        lambda seq: score_flow_stream(bundle, seq), ctx.test_streams)
+        lambda seq: score_stream(bundle, seq), ctx.test_streams)
     return fitness, factor_auroc
 
 
 def with_decay(bundle, decay: float):
     """Same bundle with a different CUSUM decay."""
-    pp = replace(bundle.postprocess, decay=decay)
-    if isinstance(bundle, BvaeBundle):
-        return BvaeBundle(bundle.genome, bundle.model, bundle.calib, pp)
-    return FlowBundle(bundle.genome, bundle.model_u, bundle.model_v,
-                      bundle.calib_u, bundle.calib_v, pp, bundle.farneback,
-                      bundle.crop_box)
+    return replace(bundle, postprocess=replace(bundle.postprocess, decay=decay))
 
 
 def sweep_decay(bundle, test_streams: dict, grid) -> tuple:
@@ -285,11 +257,10 @@ def sweep_decay(bundle, test_streams: dict, grid) -> tuple:
     grid = list(grid)
     if not grid:
         raise ValueError("decay grid is empty")
-    score_fn = score_bvae_stream if isinstance(bundle, BvaeBundle) else score_flow_stream
     table = []
     for d in grid:
         b = with_decay(bundle, d)
-        _, fitness = evaluate_streams(lambda seq: score_fn(b, seq), test_streams)
+        _, fitness = evaluate_streams(lambda seq: score_stream(b, seq), test_streams)
         table.append((float(d), float(fitness)))
     best = max(table, key=lambda df: (df[1], -df[0]))
     return best[0], table

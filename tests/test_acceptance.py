@@ -57,7 +57,7 @@ from oodkit.workflow import (
     bvae_fitness,
     evaluate_streams,
     flow_bundle_for_genome,
-    score_flow_stream,
+    score_stream,
 )
 
 from test_network import run_gradcheck
@@ -409,7 +409,7 @@ def test_criterion_8_optical_flow_end_to_end():
         farneback=cfg.farneback, n_latent=12, beta=1e-4)
     bundle = flow_bundle_for_genome(genome, ctx)
     factor_auroc, fitness = evaluate_streams(
-        lambda s: score_flow_stream(bundle, s), ctx.test_streams)
+        lambda s: score_stream(bundle, s), ctx.test_streams)
 
     id_frames = ctx.test_streams["id"][0]
     tp = throughput_sweep(build_graph(bundle), ExecutorKind(MONO_ST), [4.0, 150.0], 1.5,

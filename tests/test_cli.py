@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -160,6 +162,16 @@ def test_bench_throughput_and_report(run_dir):
     assert main(["--run-dir", str(run_dir), "report"]) == 1
     state_cfg["requirements"]["min_auroc"] = 0.51
     (run_dir / "config.json").write_text(json.dumps(state_cfg))
+
+
+def test_bench_csv_keeps_commas_in_fields():
+    from oodkit.pipeline import bench_rows_to_csv
+    rows = [{"bundle": "main", "precision": "f32", "executor": "mono_st", "mean_ms": 1.23456789},
+            {"bundle": "main", "precision": "qint8", "executor": "mono_st",
+             "error": "ValueError: shapes (1, 2) and (3,) differ"}]
+    parsed = list(csv.DictReader(io.StringIO(bench_rows_to_csv(rows))))
+    assert parsed[0]["mean_ms"] == "1.23457" and parsed[0]["error"] == ""
+    assert parsed[1]["error"] == rows[1]["error"]
 
 
 def test_report_incomplete_enumerates_gaps(tmp_path):

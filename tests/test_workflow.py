@@ -24,8 +24,7 @@ from oodkit.workflow import (
     flow_bundle_for_genome,
     of_preprocess_step,
     preprocess_bvae,
-    score_bvae_stream,
-    score_flow_stream,
+    score_stream,
     sweep_decay,
     with_decay,
 )
@@ -76,8 +75,8 @@ def test_score_stream_resets_state(bvae_ctx):
     genome = Genome("bvae", (16, 16), "bilinear", color="gray")
     bundle = bvae_bundle_for_genome(genome, bvae_ctx)
     stream = bvae_ctx.test_streams["id"][0]
-    a = score_bvae_stream(bundle, stream)
-    b = score_bvae_stream(bundle, stream)
+    a = score_stream(bundle, stream)
+    b = score_stream(bundle, stream)
     assert np.array_equal(a, b)
     assert len(a) == len(stream)
 
@@ -102,7 +101,7 @@ def test_all_id_partition_scores_near_half(bvae_ctx):
     half = len(id_stream) // 2
     streams = {"id": [id_stream[:half]], "fake_ood": [id_stream[half:]]}
     factor_auroc, _ = evaluate_streams(
-        lambda s: score_bvae_stream(bundle, s), streams)
+        lambda s: score_stream(bundle, s), streams)
     assert abs(factor_auroc["fake_ood"] - 0.5) <= 0.2
 
 
@@ -150,9 +149,9 @@ def test_flow_bundle_and_scoring_small():
         n_latent=4, beta=1e-4)
     bundle = flow_bundle_for_genome(genome, ctx)
     assert bundle.calib_u.precision_tag == "f32"
-    scores = score_flow_stream(bundle, ctx.test_streams["id"][0])
+    scores = score_stream(bundle, ctx.test_streams["id"][0])
     assert len(scores) == 10 - genome.flow_depth  # warm-up frames skipped
     factor_auroc, fitness = evaluate_streams(
-        lambda s: score_flow_stream(bundle, s), ctx.test_streams)
+        lambda s: score_stream(bundle, s), ctx.test_streams)
     assert set(factor_auroc) == {"rain", "snow"}
     assert 0.0 <= fitness <= 1.0
