@@ -13,9 +13,8 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from .config import (
     ExperimentConfig,
@@ -34,17 +33,9 @@ from .dataset import (
     split_images,
     validate_manifest,
 )
-from .gasearch import BVAE, GAConfig, Genome, MemoizedEvaluator, run_ga
-from .network import (
-    TrainOpts,
-    cast_model_f16,
-    load_model,
-    model_checksum,
-    quantize_model,
-    save_model,
-    train,
-)
-from .oodcore import CalibrationSet, PostprocessConfig
+from .gasearch import BVAE, GAConfig, Genome, MemoizedEvaluator, OPTFLOW, run_ga
+from .network import cast_model_f16, load_model, model_checksum, quantize_model, save_model
+from .oodcore import CalibrationSet, PostprocessConfig, build_calibration
 from .pipeline import (
     BenchConfig,
     BundleSet,
@@ -60,17 +51,13 @@ from .workflow import (
     FlowBundle,
     FlowTrainContext,
     bvae_fitness,
-    calibrate_bvae,
+    encoder_inputs,
     evaluate_streams,
     flow_fitness,
-    flow_stacks_for_sequences,
-    preprocess_bvae,
     score_stream,
     sweep_decay,
-    train_bvae,
+    train_encoders,
 )
-
-from .network.model import of_encoder_spec
 
 
 def _run_dir(args) -> Path:
@@ -107,7 +94,6 @@ def _postprocess(cfg: ExperimentConfig, run: Path) -> PostprocessConfig:
     state = _state(run)
     pp = cfg.postprocess
     if "delta" in state:
-        from dataclasses import replace
         pp = replace(pp, decay=float(state["delta"]))
     return pp
 
@@ -119,37 +105,46 @@ def _dataset(run: Path):
     return load_dataset(ds_dir)
 
 
+# artifact name of each encoder branch, in encoder_inputs' order
+BRANCHES = {BVAE: ("main",), OPTFLOW: ("main_u", "main_v")}
+
+
 def _model_paths(run: Path, family: str, precision: str):
-    mdir = run / "models"
-    if family == BVAE:
-        return [mdir / f"main_{precision}.oodm"]
-    return [mdir / f"main_u_{precision}.oodm", mdir / f"main_v_{precision}.oodm"]
+    return [run / "models" / f"{b}_{precision}.oodm" for b in BRANCHES[family]]
 
 
 def _calib_paths(run: Path, family: str, precision: str):
-    cdir = run / "calib"
-    if family == BVAE:
-        return [cdir / f"main_{precision}.csv"]
-    return [cdir / f"main_u_{precision}.csv", cdir / f"main_v_{precision}.csv"]
+    return [run / "calib" / f"{b}_{precision}.csv" for b in BRANCHES[family]]
 
 
-def _load_bundle(run: Path, cfg: ExperimentConfig, precision: str):
+def _load_models(run: Path, family: str, precision: str):
+    """The models of every branch, and the genome they were trained for."""
     models = []
-    for p in _model_paths(run, cfg.family, precision):
+    for p in _model_paths(run, family, precision):
         if not p.exists():
             raise FileNotFoundError(f"missing model {p}; run train/quantize first")
         models.append(load_model(p.read_bytes()))
+    return models, Genome.from_dict(models[0].metadata["genome"])
+
+
+def _load_bundle(run: Path, cfg: ExperimentConfig, precision: str):
+    models, genome = _load_models(run, cfg.family, precision)
     calibs = []
     for p in _calib_paths(run, cfg.family, precision):
         if not p.exists():
             raise FileNotFoundError(f"missing calibration {p}; run calibrate first")
         calibs.append(CalibrationSet.from_csv(p.read_text()))
     pp = _postprocess(cfg, run)
-    genome = Genome.from_dict(models[0].metadata["genome"])
     if cfg.family == BVAE:
-        return BvaeBundle(genome, models[0], calibs[0], pp)
-    return FlowBundle(genome, models[0], models[1], calibs[0], calibs[1], pp,
-                      cfg.farneback)
+        return BvaeBundle(genome, *models, *calibs, pp)
+    return FlowBundle(genome, *models, *calibs, pp, cfg.farneback)
+
+
+def _encoder_inputs(cfg, genome, rows, images, split):
+    """Per-branch encoder inputs of one dataset split."""
+    items = (split_images(rows, images, split) if cfg.family == BVAE
+             else of_sequences(rows, images, split))
+    return encoder_inputs(genome, items, cfg.farneback)
 
 
 def _test_streams(cfg, rows, images):
@@ -184,50 +179,22 @@ def cmd_train(args):
     rows, images = _dataset(run)
     genome = _genome_from_args(args, cfg)
     (run / "models").mkdir(exist_ok=True)
-    if cfg.family == BVAE:
-        ctx = BvaeTrainContext(
-            train_images=split_images(rows, images, "train"),
-            calib_images=[], test_streams={},
-            opts=cfg.train, postprocess=cfg.postprocess,
-            n_latent=cfg.n_latent, beta=cfg.beta,
-            variance_parametrization=cfg.variance_parametrization)
-        model = train_bvae(genome, ctx)
-        path = _model_paths(run, BVAE, "f32")[0]
+    models = train_encoders(genome, _encoder_inputs(cfg, genome, rows, images, "train"),
+                            cfg.train, cfg.n_latent, cfg.beta, cfg.variance_parametrization)
+    for model, path in zip(models, _model_paths(run, cfg.family, "f32")):
         path.write_bytes(save_model(model))
-        print(f"trained {genome.size[0]}x{genome.size[1]} model -> {path} "
+        print(f"trained {genome.size[0]}x{genome.size[1]} encoder -> {path} "
               f"(final loss {model.metadata['loss_history'][-1]:.5f})")
-    else:
-        seqs = of_sequences(rows, images, "train")
-        train_u, train_v = flow_stacks_for_sequences(genome, seqs, cfg.farneback)
-        hw = train_u[0].shape[1:]
-        spec = of_encoder_spec(hw[0], hw[1], genome.flow_depth,
-                               n_latent=cfg.n_latent, beta=cfg.beta)
-        meta = {"genome": genome.to_dict()}
-        for branch, data in (("u", train_u), ("v", train_v)):
-            model = train(spec, data, cfg.train, metadata=dict(meta, branch=branch))
-            path = run / "models" / f"main_{branch}_f32.oodm"
-            path.write_bytes(save_model(model))
-            print(f"trained {branch}-encoder -> {path}")
     _save_state(run, genome=genome.to_dict())
     return 0
 
 
-def _calibrate_family(run, cfg, precision, rows, images):
+def _calibrate(run, cfg, precision, models, inputs):
+    """Write one calibration CSV per branch; returns the score counts."""
     (run / "calib").mkdir(exist_ok=True)
     pp = _postprocess(cfg, run)
-    models = [load_model(p.read_bytes()) for p in _model_paths(run, cfg.family, precision)]
-    genome = Genome.from_dict(models[0].metadata["genome"])
-    if cfg.family == BVAE:
-        calib = calibrate_bvae(models[0], genome, split_images(rows, images, "calib"),
-                               pp, model_checksum(models[0]))
-        _calib_paths(run, BVAE, precision)[0].write_text(calib.to_csv())
-        return [len(calib)]
-    seqs = of_sequences(rows, images, "calib")
-    data_u, data_v = flow_stacks_for_sequences(genome, seqs, cfg.farneback)
-    from .oodcore import build_calibration
     counts = []
-    for model, data, path in zip(models, (data_u, data_v),
-                                 _calib_paths(run, cfg.family, precision)):
+    for model, data, path in zip(models, inputs, _calib_paths(run, cfg.family, precision)):
         calib = build_calibration(model, data, pp, model_checksum(model))
         path.write_text(calib.to_csv())
         counts.append(len(calib))
@@ -238,7 +205,9 @@ def cmd_calibrate(args):
     run = _run_dir(args)
     cfg = _config(args, run)
     rows, images = _dataset(run)
-    counts = _calibrate_family(run, cfg, args.precision, rows, images)
+    models, genome = _load_models(run, cfg.family, args.precision)
+    counts = _calibrate(run, cfg, args.precision, models,
+                        _encoder_inputs(cfg, genome, rows, images, "calib"))
     print(f"calibration ({args.precision}): {counts} scores")
     return 0
 
@@ -247,27 +216,22 @@ def cmd_quantize(args):
     run = _run_dir(args)
     cfg = _config(args, run)
     rows, images = _dataset(run)
-    for f32_path, q_path, h_path in zip(
+    models, genome = _load_models(run, cfg.family, "f32")
+    inputs = _encoder_inputs(cfg, genome, rows, images, "calib")
+    for model, data, f32_path, q_path, h_path in zip(
+            models, inputs,
             _model_paths(run, cfg.family, "f32"),
             _model_paths(run, cfg.family, "qint8"),
             _model_paths(run, cfg.family, "f16")):
-        model = load_model(f32_path.read_bytes())
-        genome = Genome.from_dict(model.metadata["genome"])
-        if cfg.family == BVAE:
-            calib_inputs = [preprocess_bvae(im, genome)
-                            for im in split_images(rows, images, "calib")]
-        else:
-            seqs = of_sequences(rows, images, "calib")
-            data_u, data_v = flow_stacks_for_sequences(genome, seqs, cfg.farneback)
-            calib_inputs = data_u if "_u_" in f32_path.name else data_v
-        q_path.write_bytes(save_model(quantize_model(model, calib_inputs)))
+        q_path.write_bytes(save_model(quantize_model(model, data)))
         h_path.write_bytes(save_model(cast_model_f16(model)))
         print(f"{f32_path.name} -> {q_path.name}, {h_path.name}")
     for precision, recal in sorted(cfg.recalibrate.items()):
         if precision not in cfg.precisions or precision == "f32":
             continue
         if recal:
-            counts = _calibrate_family(run, cfg, precision, rows, images)
+            derived, _ = _load_models(run, cfg.family, precision)
+            counts = _calibrate(run, cfg, precision, derived, inputs)
             print(f"regenerated calibration for {precision}: {counts} scores")
         else:
             for f32_c, target in zip(_calib_paths(run, cfg.family, "f32"),
@@ -325,8 +289,7 @@ def cmd_ga_search(args):
     bucket = bucket_from_config(cfg, args.bucket)
     ga_dir = run / "ga" / args.bucket
     ga_dir.mkdir(parents=True, exist_ok=True)
-    opts = TrainOpts(epochs=cfg.ga.train_epochs, batch_size=cfg.train.batch_size,
-                     lr=cfg.train.lr, seed=cfg.train.seed)
+    opts = replace(cfg.train, epochs=cfg.ga.train_epochs)
     if cfg.family == BVAE:
         ctx = BvaeTrainContext(
             train_images=split_images(rows, images, "train"),

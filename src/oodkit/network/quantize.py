@@ -163,54 +163,28 @@ def _observe_sites(folded: DetectorModel, calib: np.ndarray):
 def quantize_model(model: DetectorModel, calibration_images) -> DetectorModel:
     """f32 -> qint8: fold batchnorm, quantize weights symmetric per-tensor,
     observe activation ranges over the calibration inputs."""
-    calib = np.stack([np.asarray(im, dtype=np.float32) for im in calibration_images]) \
-        if not isinstance(calibration_images, np.ndarray) else calibration_images.astype(np.float32)
+    calib = np.stack([np.asarray(im, dtype=np.float32) for im in calibration_images])
     if calib.shape[0] < MIN_CALIBRATION_IMAGES:
         raise ValueError(
             f"need at least {MIN_CALIBRATION_IMAGES} calibration inputs, got {calib.shape[0]}")
     folded = fold_batchnorm(model)
     sites = _observe_sites(folded, calib)
-
-    last_dense = max(i for i, ls in enumerate(folded.spec.layers) if ls.kind == "dense")
-    ops = []
     weights = {}
-    cur_site = "input"
     for i, (ls, layer) in enumerate(zip(folded.spec.layers, folded.encoder)):
         if ls.kind in ("conv2d", "dense"):
             w = layer.params["w"]
             wqp = calibrate_quant_params([w], "symmetric")
             wq = np.clip(round_half_away(w.astype(np.float64) / wqp.scale), -128, 127).astype(np.int8)
-            out_site = f"out.{i}"
-            emit_f32 = i == last_dense
-            in_qp = sites[cur_site]
-            out_qp = sites[out_site]
-            if ls.kind == "conv2d":
-                ops.append(_QConv(wq, wqp.scale, layer.params["b"], ls.stride, ls.padding,
-                                  in_qp, out_qp, emit_f32))
-            else:
-                ops.append(_QDense(wq, wqp.scale, layer.params["b"], in_qp, out_qp, emit_f32))
             weights[f"enc.{i}.w"] = Tensor.qint8(wq, wqp)
             weights[f"enc.{i}.b"] = Tensor.f32(layer.params["b"])
-            cur_site = out_site
-        elif ls.kind == "relu":
-            ops.append(_QRelu(sites[cur_site].zero_point))
-        elif ls.kind == "maxpool2d":
-            ops.append(_QMaxPool(ls.kernel))
-        elif ls.kind == "flatten":
-            ops.append(_QFlatten())
-        else:
-            raise ValueError(f"cannot quantize layer kind {ls.kind!r}")
-
-    qenc = QuantizedEncoder(sites["input"], ops)
-    meta = dict(model.metadata)
-    qmodel = DetectorModel(folded.spec, QINT8, [], None, quantized=qenc, metadata=meta)
-    qmodel.quant_weights = weights
-    qmodel.quant_sites = {k: (v.scale, v.zero_point) for k, v in sites.items()}
-    return qmodel
+    return rebuild_quantized(folded.spec, weights,
+                             {k: (qp.scale, qp.zero_point) for k, qp in sites.items()},
+                             dict(model.metadata))
 
 
 def rebuild_quantized(spec: ModelSpec, weights: dict, sites: dict, metadata: dict) -> DetectorModel:
-    """Reassemble a qint8 model from its serialized tensors and site table."""
+    """The qint8 model's integer execution plan, built from its quantized
+    tensors and its site table (name -> (scale, zero_point))."""
     qps = {k: QuantParams(s, z) for k, (s, z) in sites.items()}
     last_dense = max(i for i, ls in enumerate(spec.layers) if ls.kind == "dense")
     ops = []
@@ -234,7 +208,7 @@ def rebuild_quantized(spec: ModelSpec, weights: dict, sites: dict, metadata: dic
         elif ls.kind == "flatten":
             ops.append(_QFlatten())
         else:
-            raise ValueError(f"cannot rebuild quantized layer kind {ls.kind!r}")
+            raise ValueError(f"cannot quantize layer kind {ls.kind!r}")
     qmodel = DetectorModel(spec, QINT8, [], None,
                            quantized=QuantizedEncoder(qps["input"], ops), metadata=metadata)
     qmodel.quant_weights = dict(weights)

@@ -166,6 +166,10 @@ def train(spec: ModelSpec, images, opts: TrainOpts = TrainOpts(),
             epoch_loss += total
             batches += 1
         history.append(epoch_loss / max(batches, 1))
+    for layer in encoder + decoder:  # the last batch's saved activations and gradients
+        for name in [k for k in vars(layer) if k.startswith("_")]:
+            delattr(layer, name)
+        layer.grads = {}
 
     meta = dict(metadata or {})
     meta["loss_history"] = history

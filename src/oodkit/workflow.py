@@ -1,6 +1,6 @@
 """Glue between the phases: genome-driven preprocessing, detector bundles,
-stream scoring, and the train/calibrate/evaluate loop that the GA fitness
-function and the CLI both drive."""
+stream scoring, and the per-branch train/calibrate path that the GA fitness
+loop and the CLI phases both drive."""
 
 from __future__ import annotations
 
@@ -149,6 +149,36 @@ def evaluate_streams(score_stream_fn, streams: dict) -> tuple:
 # ---------------------------------------------------------------------------
 # Phase 2/3 loops
 
+def encoder_inputs(genome: Genome, items, fb: FarnebackParams = FarnebackParams(),
+                   crop_box=None) -> list:
+    """One input list per encoder branch of the genome's family: the
+    preprocessed images for bvae, or the u and the v flow stacks produced by
+    the frontend over frame sequences for optflow."""
+    if genome.family == BVAE:
+        return [[preprocess_bvae(img, genome) for img in items]]
+    us, vs = flow_stacks_for_sequences(genome, items, fb, crop_box)
+    if not us:
+        raise ValueError("no flow stacks produced; sequences shorter than flow depth?")
+    return [us, vs]
+
+
+def train_encoders(genome: Genome, inputs, opts: TrainOpts, n_latent: int, beta: float,
+                   variance_parametrization: str = VAR) -> list:
+    """One trained f32 model per encoder branch, in encoder_inputs' order.
+    The flow encoder's spec fixes its own variance parametrization."""
+    meta = {"genome": genome.to_dict()}
+    if genome.family == BVAE:
+        spec = bvae_spec(genome.size[0], genome.size[1],
+                         1 if genome.color == GRAY else 3,
+                         n_latent=n_latent, beta=beta,
+                         variance_parametrization=variance_parametrization)
+        return [train(spec, inputs[0], opts, metadata=meta)]
+    spec = of_encoder_spec(*inputs[0][0].shape[1:], genome.flow_depth,
+                           n_latent=n_latent, beta=beta)
+    return [train(spec, data, opts, metadata=dict(meta, branch=branch))
+            for branch, data in zip("uv", inputs)]
+
+
 @dataclass
 class BvaeTrainContext:
     """Data and budgets needed to take any genome to a scored detector."""
@@ -164,18 +194,14 @@ class BvaeTrainContext:
 
 
 def train_bvae(genome: Genome, ctx: BvaeTrainContext) -> DetectorModel:
-    spec = bvae_spec(genome.size[0], genome.size[1],
-                     1 if genome.color == GRAY else 3,
-                     n_latent=ctx.n_latent, beta=ctx.beta,
-                     variance_parametrization=ctx.variance_parametrization)
-    data = [preprocess_bvae(img, genome) for img in ctx.train_images]
-    meta = {"genome": genome.to_dict()}
-    return train(spec, data, ctx.opts, metadata=meta)
+    [model] = train_encoders(genome, encoder_inputs(genome, ctx.train_images), ctx.opts,
+                             ctx.n_latent, ctx.beta, ctx.variance_parametrization)
+    return model
 
 
 def calibrate_bvae(model: DetectorModel, genome: Genome, calib_images,
                    cfg: PostprocessConfig, checksum: str = "") -> CalibrationSet:
-    data = [preprocess_bvae(img, genome) for img in calib_images]
+    [data] = encoder_inputs(genome, calib_images)
     return build_calibration(model, data, cfg, checksum)
 
 
@@ -221,22 +247,13 @@ def flow_stacks_for_sequences(genome: Genome, sequences, fb: FarnebackParams,
 
 
 def flow_bundle_for_genome(genome: Genome, ctx: FlowTrainContext) -> FlowBundle:
-    train_u, train_v = flow_stacks_for_sequences(genome, ctx.train_sequences,
-                                                 ctx.farneback, ctx.crop_box)
-    if not train_u:
-        raise ValueError("no flow stacks produced; sequences shorter than flow depth?")
-    hw = train_u[0].shape[1:]
-    spec = of_encoder_spec(hw[0], hw[1], genome.flow_depth,
-                           n_latent=ctx.n_latent, beta=ctx.beta)
-    meta = {"genome": genome.to_dict()}
-    model_u = train(spec, train_u, ctx.opts, metadata=dict(meta, branch="u"))
-    model_v = train(spec, train_v, ctx.opts, metadata=dict(meta, branch="v"))
-    calib_u_data, calib_v_data = flow_stacks_for_sequences(
-        genome, ctx.calib_sequences, ctx.farneback, ctx.crop_box)
-    calib_u = build_calibration(model_u, calib_u_data, ctx.postprocess)
-    calib_v = build_calibration(model_v, calib_v_data, ctx.postprocess)
-    return FlowBundle(genome, model_u, model_v, calib_u, calib_v, ctx.postprocess,
-                      ctx.farneback, ctx.crop_box)
+    def inputs(seqs):
+        return encoder_inputs(genome, seqs, ctx.farneback, ctx.crop_box)
+    models = train_encoders(genome, inputs(ctx.train_sequences), ctx.opts,
+                            ctx.n_latent, ctx.beta)
+    calibs = [build_calibration(m, data, ctx.postprocess)
+              for m, data in zip(models, inputs(ctx.calib_sequences))]
+    return FlowBundle(genome, *models, *calibs, ctx.postprocess, ctx.farneback, ctx.crop_box)
 
 
 def flow_fitness(genome: Genome, ctx: FlowTrainContext):

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 from oodkit.cli import main
@@ -227,6 +228,8 @@ def test_optflow_family_cli(tmp_path):
     data = json.loads((run / "eval" / "evaluate_f32.json").read_text())
     assert set(data["per_factor_auroc"]) == {"rain", "snow"}
     assert main(["--run-dir", r, "quantize"]) == 0
+    assert (run / "calib" / "main_u_qint8.csv").exists()
+    assert (run / "calib" / "main_v_qint8.csv").exists()
     assert main(["--run-dir", r, "evaluate", "--precision", "qint8"]) == 0
     assert main(["--run-dir", r, "bench"]) == 0
     bench = (run / "bench" / "bench.csv").read_text()
@@ -239,3 +242,69 @@ def test_missing_artifact_message(tmp_path):
     cfg_path.write_text(json.dumps(FAST_CONFIG))
     assert main(["--run-dir", str(run), "--config", str(cfg_path), "dataset-generate"]) == 0
     assert main(["--run-dir", str(run), "evaluate", "--precision", "f32"]) == 2
+
+
+def _fresh_run(tmp_path, name, cfg_dict, *phases):
+    run = tmp_path / name
+    cfg_path = tmp_path / f"{name}.json"
+    cfg_path.write_text(json.dumps(cfg_dict))
+    assert main(["--run-dir", str(run), "--config", str(cfg_path), "dataset-generate"]) == 0
+    for phase in phases:
+        assert main(["--run-dir", str(run), *phase]) == 0
+    return run
+
+
+def test_cli_bvae_models_match_ga_loop(run_dir):
+    from oodkit.config import load_config
+    from oodkit.dataset import load_dataset, split_images
+    from oodkit.network import save_model
+    from oodkit.oodcore import CalibrationSet
+    from oodkit.workflow import BvaeTrainContext, bvae_bundle_for_genome, train_bvae
+    cfg = load_config(run_dir / "config.json")
+    rows, images = load_dataset(run_dir / "dataset")
+    ctx = BvaeTrainContext(split_images(rows, images, "train"),
+                           split_images(rows, images, "calib"), {}, cfg.train,
+                           cfg.postprocess, cfg.n_latent, cfg.beta,
+                           cfg.variance_parametrization)
+    assert save_model(train_bvae(cfg.genome, ctx)) == \
+        (run_dir / "models" / "main_f32.oodm").read_bytes()
+    bundle = bvae_bundle_for_genome(cfg.genome, ctx)
+    cli_calib = CalibrationSet.from_csv((run_dir / "calib" / "main_f32.csv").read_text())
+    assert np.array_equal(cli_calib.scores, bundle.calib.scores)
+
+
+def test_cli_optflow_models_match_ga_loop(tmp_path):
+    from oodkit.config import load_config
+    from oodkit.dataset import load_dataset, of_sequences
+    from oodkit.network import save_model
+    from oodkit.oodcore import CalibrationSet
+    from oodkit.workflow import FlowTrainContext, flow_bundle_for_genome
+    run = _fresh_run(tmp_path, "of_run", OF_CONFIG, ["train"], ["calibrate"])
+    cfg = load_config(run / "config.json")
+    rows, images = load_dataset(run / "dataset")
+    ctx = FlowTrainContext(of_sequences(rows, images, "train"),
+                           of_sequences(rows, images, "calib"), {}, cfg.train,
+                           cfg.postprocess, cfg.farneback, cfg.n_latent, cfg.beta)
+    bundle = flow_bundle_for_genome(cfg.genome, ctx)
+    for branch, model, calib in (("u", bundle.model_u, bundle.calib_u),
+                                 ("v", bundle.model_v, bundle.calib_v)):
+        assert save_model(model) == (run / "models" / f"main_{branch}_f32.oodm").read_bytes()
+        cli_calib = CalibrationSet.from_csv(
+            (run / "calib" / f"main_{branch}_f32.csv").read_text())
+        assert np.array_equal(cli_calib.scores, calib.scores)
+
+
+def test_train_without_flow_stacks_reports_it(tmp_path, capsys):
+    short = dict(OF_CONFIG, dataset=dict(OF_CONFIG["dataset"], frames_per_run=2))
+    run = _fresh_run(tmp_path, "short", short)
+    assert main(["--run-dir", str(run), "train"]) == 2
+    assert "no flow stacks produced" in capsys.readouterr().err
+
+
+def test_ga_search_uses_configured_optimizer(tmp_path):
+    histories = {}
+    for optimizer in ("adam", "sgd"):
+        cfg = dict(FAST_CONFIG, train=dict(FAST_CONFIG["train"], optimizer=optimizer))
+        run = _fresh_run(tmp_path, optimizer, cfg, ["ga-search", "--bucket", "S"])
+        histories[optimizer] = (run / "ga" / "S" / "history.csv").read_text()
+    assert histories["adam"] != histories["sgd"]

@@ -591,3 +591,14 @@ def test_inference_stores_nothing_on_layers(cast):
             assert now.keys() == was.keys(), type(layer).__name__
             assert all(now[k] is was[k] for k in was), type(layer).__name__
             assert all(np.array_equal(layer.params[k], params[k]) for k in params)
+
+
+def test_train_leaves_no_training_state_on_layers():
+    for spec in (bvae_spec(24, 24, 3, n_latent=4), of_encoder_spec(48, 64, 3)):
+        rng = np.random.default_rng(16)
+        images = rng.uniform(0, 1, (6, spec.in_channels) + tuple(spec.input_hw))
+        model = train(spec, images.astype(np.float32), TrainOpts(epochs=1, batch_size=4))
+        fresh = build_encoder(spec) + build_decoder(spec)
+        for layer, ref in zip(model.encoder + model.decoder, fresh):
+            assert vars(layer).keys() == vars(ref).keys(), type(layer).__name__
+            assert layer.grads == {}
