@@ -17,6 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import (
+    PRECISIONS,
     ExperimentConfig,
     bucket_from_config,
     default_config,
@@ -33,12 +34,10 @@ from .dataset import (
     split_images,
     validate_manifest,
 )
-from .gasearch import BVAE, GAConfig, Genome, MemoizedEvaluator, OPTFLOW, run_ga
+from .gasearch import BVAE, Genome, MemoizedEvaluator, OPTFLOW, run_ga
 from .network import cast_model_f16, load_model, model_checksum, quantize_model, save_model
 from .oodcore import CalibrationSet, PostprocessConfig, build_calibration
 from .pipeline import (
-    BenchConfig,
-    BundleSet,
     ExecutorKind,
     bench_matrix,
     bench_rows_to_csv,
@@ -308,9 +307,6 @@ def cmd_ga_search(args):
             farneback=cfg.farneback, n_latent=cfg.n_latent, beta=cfg.beta)
         evaluator = MemoizedEvaluator(lambda g: flow_fitness(g, ctx))
 
-    ga_cfg = GAConfig(population=cfg.ga.population, mutation_rate=cfg.ga.mutation_rate,
-                      generations=cfg.ga.generations, elitism=cfg.ga.elitism,
-                      tournament_k=cfg.ga.tournament_k, seed=cfg.ga.seed)
     ckpt_path = ga_dir / "checkpoint.json"
     state = json.loads(ckpt_path.read_text()) if ckpt_path.exists() else None
     if state is not None:
@@ -319,7 +315,7 @@ def cmd_ga_search(args):
     def checkpoint(s):
         ckpt_path.write_text(json.dumps(s) + "\n")
 
-    best, history = run_ga(bucket, ga_cfg, evaluator, state=state, checkpoint=checkpoint)
+    best, history = run_ga(bucket, cfg.ga, evaluator, state=state, checkpoint=checkpoint)
     (ga_dir / "history.csv").write_text(history.to_csv())
     best_fitness = evaluator.cache[best][0]
     (ga_dir / "best_genome.json").write_text(
@@ -362,10 +358,8 @@ def cmd_bench(args):
     if not bundles:
         raise FileNotFoundError("no bundles available; run train/calibrate/quantize")
     frames, labels = _bench_source(cfg, rows, images)
-    bench_cfg = BenchConfig(n_frames=cfg.bench.n_frames, rate_fps=cfg.bench.rate_fps,
-                            warmup=cfg.bench.warmup)
-    rows_out = bench_matrix([BundleSet("main", bundles)], list(cfg.precisions),
-                            _executor_kinds(cfg, args), frames, labels, bench_cfg)
+    rows_out = bench_matrix(bundles, list(cfg.precisions), _executor_kinds(cfg, args),
+                            frames, labels, cfg.bench)
     (run / "bench").mkdir(exist_ok=True)
     (run / "bench" / "bench.csv").write_text(bench_rows_to_csv(rows_out))
     for r in rows_out:
@@ -383,7 +377,7 @@ def cmd_throughput(args):
     rows, images = _dataset(run)
     frames, _ = _bench_source(cfg, rows, images)
     lines = [["precision", "executor", "rate_fps", "sustained_fps", "backlog_slope",
-              "drops", "sustained"]]
+              "sustained"]]
     for precision in cfg.precisions:
         try:
             bundle = _load_bundle(run, cfg, precision)
@@ -397,7 +391,7 @@ def cmd_throughput(args):
             for e in report.entries:
                 lines.append([precision, kind.kind, f"{e.rate_fps:g}",
                               f"{e.sustained_fps:.3f}", f"{e.backlog_slope:.3f}",
-                              e.drops, int(e.sustained)])
+                              int(e.sustained)])
                 print(f"{precision}/{kind.kind}@{e.rate_fps:g}fps: "
                       f"sustained={e.sustained_fps:.1f} ({'ok' if e.sustained else 'backlog'})")
     (run / "bench").mkdir(exist_ok=True)
@@ -501,16 +495,16 @@ def build_parser():
     p.add_argument("--genome-file", help="JSON genome overriding the config preprocessing")
 
     p = sub.add_parser("calibrate", help="build the conformal calibration set")
-    p.add_argument("--precision", default="f32", choices=["f32", "f16", "qint8"])
+    p.add_argument("--precision", default="f32", choices=PRECISIONS)
 
     p = sub.add_parser("evaluate", help="per-factor AUROC and harmonic fitness")
-    p.add_argument("--precision", default="f32", choices=["f32", "f16", "qint8"])
+    p.add_argument("--precision", default="f32", choices=PRECISIONS)
 
     p = sub.add_parser("ga-search", help="phase 3: search one preprocessing bucket")
     p.add_argument("--bucket", required=True)
 
     p = sub.add_parser("sweep-delta", help="pick the CUSUM decay by parameter sweep")
-    p.add_argument("--precision", default="f32", choices=["f32", "f16", "qint8"])
+    p.add_argument("--precision", default="f32", choices=PRECISIONS)
 
     sub.add_parser("quantize", help="phase 3: derive qint8 and f16 models")
     sub.add_parser("bench", help="phase 4: response-time matrix over executors")

@@ -8,11 +8,13 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .dataset import DatasetConfig, FactorRanges
-from .gasearch import BVAE, OPTFLOW, Genome
+from .gasearch import BVAE, OPTFLOW, GAConfig, Genome
 from .imaging import SceneParams
 from .network import TrainOpts
+from .network.model import VAR, VAR_PARAMS
 from .oodcore import PostprocessConfig
 from .optflow import FarnebackParams
+from .pipeline import EXECUTOR_KINDS, BenchConfig
 
 PRECISIONS = ("f32", "f16", "qint8")
 
@@ -31,26 +33,12 @@ class Requirements:
 
 
 @dataclass(frozen=True)
-class GaSection:
-    population: int = 5
-    mutation_rate: float = 0.2
-    generations: int = 16
-    elitism: int = 1
-    tournament_k: int = 2
-    seed: int = 0
+class GaSection(GAConfig):
+    """The GA settings plus the per-candidate budget and the size buckets."""
+
     train_epochs: int = 6           # reduced budget per candidate
     buckets: dict = field(default_factory=lambda: {
         "S": [16, 24], "M": [32, 48], "L": [56, 64]})
-
-
-@dataclass(frozen=True)
-class BenchSection:
-    n_frames: int = 200
-    rate_fps: float = 30.0
-    warmup: int = 20
-    throughput_rates: tuple = (5.0, 15.0, 30.0, 60.0)
-    throughput_duration_s: float = 2.0
-    mono_mt_workers: int = 2
 
 
 @dataclass(frozen=True)
@@ -69,7 +57,7 @@ class ExperimentConfig:
     recalibrate: dict = field(default_factory=lambda: {"qint8": True, "f16": False})
     executors: tuple = ("mono_st", "chain_mt", "mono_mt")
     ga: GaSection = field(default_factory=GaSection)
-    bench: BenchSection = field(default_factory=BenchSection)
+    bench: BenchConfig = field(default_factory=BenchConfig)
     farneback: FarnebackParams = field(default_factory=FarnebackParams)
 
     def __post_init__(self):
@@ -94,8 +82,14 @@ class ExperimentConfig:
             if p not in PRECISIONS:
                 raise ValueError(f"unknown precision {p!r}")
         for e in self.executors:
-            if e not in ("mono_st", "chain_mt", "mono_mt"):
+            if e not in EXECUTOR_KINDS:
                 raise ValueError(f"unknown executor {e!r}")
+        if self.variance_parametrization not in VAR_PARAMS:
+            raise ValueError(
+                f"unknown variance_parametrization {self.variance_parametrization!r}")
+        if self.family == OPTFLOW and self.variance_parametrization != VAR:
+            raise ValueError(f"the optflow encoders are {VAR!r}-parametrized, "
+                             f"got {self.variance_parametrization!r}")
         if self.beta <= 0 or self.n_latent < 1:
             raise ValueError("beta must be > 0 and n_latent >= 1")
         return self
@@ -166,7 +160,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         recalibrate=dict(base["recalibrate"]),
         executors=tuple(base["executors"]),
         ga=GaSection(**ga),
-        bench=BenchSection(**bench),
+        bench=BenchConfig(**bench),
         farneback=FarnebackParams(**base["farneback"]),
     )
     return cfg.validate()

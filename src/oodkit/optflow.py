@@ -81,18 +81,6 @@ class FlowField:
         return self.u.shape[1]
 
 
-@dataclass(frozen=True)
-class PolyExpansion:
-    """Per-pixel local model f(x) ~ x^T A x + b^T x + c over centered offsets."""
-
-    a11: np.ndarray  # x^2 coefficient
-    a12: np.ndarray
-    a22: np.ndarray  # y^2 coefficient
-    bx: np.ndarray
-    by: np.ndarray
-    c: np.ndarray
-
-
 def _gray_f32(img: Image) -> np.ndarray:
     p = img.pixels.astype(np.float32)
     if img.channels == 1:
@@ -110,7 +98,9 @@ def _correlate_axis(arr: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarra
 
 
 def _poly_channels(f: np.ndarray, poly_n: int, poly_sigma: float):
-    """Quadratic-fit coefficient planes, channel order (by, bx, ayy, axx, axy2)."""
+    """Gaussian-weighted quadratic fit f(x) ~ x^T A x + b^T x + c over the odd
+    poly_n window at every pixel, borders replicated: the (H, W, 5) f32
+    coefficient planes in channel order (by, bx, ayy, axx, 2*axy)."""
     n = poly_n // 2
     xs = np.arange(-n, n + 1, dtype=np.float64)
     g = np.exp(-(xs**2) / (2 * poly_sigma**2))
@@ -124,7 +114,7 @@ def _poly_channels(f: np.ndarray, poly_n: int, poly_sigma: float):
     basis = np.stack([np.ones_like(X), X, Y, X**2, Y**2, X * Y])
     G = np.einsum("iyx,jyx,yx->ij", basis, basis, wx)
     inv = np.linalg.inv(G)
-    ig00, ig11, ig03, ig33, ig55 = inv[0, 0], inv[1, 1], inv[0, 3], inv[3, 3], inv[5, 5]
+    ig11, ig03, ig33, ig55 = inv[1, 1], inv[0, 3], inv[3, 3], inv[5, 5]
 
     f = f.astype(np.float64)
     v0 = _correlate_axis(f, g, axis=0)
@@ -144,25 +134,7 @@ def _poly_channels(f: np.ndarray, poly_n: int, poly_sigma: float):
     r[..., 2] = ig33 * myy + ig03 * m1
     r[..., 3] = ig33 * mxx + ig03 * m1
     r[..., 4] = ig55 * mxy
-    c = (ig00 * m1 + ig03 * (mxx + myy)).astype(np.float32)
-    return r, c
-
-
-def polynomial_expansion(img: np.ndarray, poly_n: int = 5, poly_sigma: float = 1.1) -> PolyExpansion:
-    """Fit f(x) ~ x^T A x + b^T x + c at every pixel with separable Gaussian
-    weights over an odd poly_n window; borders replicate."""
-    f = np.asarray(img, dtype=np.float32)
-    if f.ndim != 2:
-        raise ValueError("expected a 2-d grayscale array")
-    if poly_n % 2 == 0 or poly_n < 3:
-        raise ValueError(f"poly_n must be odd and >= 3, got {poly_n}")
-    if min(f.shape) < poly_n:
-        raise ValueError(f"image dimensions {f.shape} smaller than poly_n {poly_n}")
-    r, c = _poly_channels(f, poly_n, poly_sigma)
-    return PolyExpansion(
-        a11=r[..., 3].copy(), a12=(r[..., 4] / 2.0), a22=r[..., 2].copy(),
-        bx=r[..., 1].copy(), by=r[..., 0].copy(), c=c,
-    )
+    return r
 
 
 _BORDER_W = np.float32([0.14, 0.14, 0.4472, 0.4472, 0.4472])
@@ -325,8 +297,8 @@ def farneback_flow(prev: Image, next: Image, params: FarnebackParams = Farneback
             i1 = _resize_bilinear_f32(_gaussian_blur(img1, sigma, ksize), lh, lw)
         else:
             i0, i1 = img0, img1
-        r0, _ = _poly_channels(i0, params.poly_n, params.poly_sigma)
-        r1, _ = _poly_channels(i1, params.poly_n, params.poly_sigma)
+        r0 = _poly_channels(i0, params.poly_n, params.poly_sigma)
+        r1 = _poly_channels(i1, params.poly_n, params.poly_sigma)
         m = _update_matrices(r0, r1, flow)
         for it in range(params.iterations):
             flow = _update_flow(m, params.window_size)

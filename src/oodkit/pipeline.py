@@ -149,11 +149,6 @@ class _Runner:
             return done
 
 
-class _Clock:
-    monotonic = staticmethod(time.monotonic)
-    sleep = staticmethod(time.sleep)
-
-
 @dataclass
 class RunStats:
     scores: list
@@ -171,7 +166,7 @@ class _Run:
     a thread with nothing to take sleeps on the wake-up condition of the
     stages it serves until route or the end of the run notifies it."""
 
-    def __init__(self, graph: CallbackGraph, n: int, clock=None, shared_wakeup=True):
+    def __init__(self, graph: CallbackGraph, n: int, shared_wakeup=True):
         self.order = [s.name for s in graph.stages]
         self.runners = {s.name: _Runner(s, len(graph.predecessors[s.name]))
                         for s in graph.stages}
@@ -192,7 +187,6 @@ class _Run:
         self.n_done = 0
         self.errors = []
         self.over = threading.Event()
-        self.clock = clock
 
     def route(self, name, seq, out):
         """Queue one output of stage name (None: a frame from the source) for
@@ -200,8 +194,7 @@ class _Run:
         succ = self.routes[name]
         if not succ:
             self.results[seq] = out
-            if self.clock is not None:
-                self.done[seq] = self.clock.monotonic()
+            self.done[seq] = time.monotonic()
             with self.lock:
                 self.n_done += 1
                 if self.n_done == len(self.results):
@@ -257,19 +250,18 @@ class _Run:
                         cv.wait()
 
 
-def _execute(graph: CallbackGraph, kind: ExecutorKind, source: dict, clock=None) -> RunStats:
+def _execute(graph: CallbackGraph, kind: ExecutorKind, source: dict) -> RunStats:
     """Pump source["frames"] into the graph at source["rate_fps"] (None: all
     at once) under the kind's dispatch policy: CHAIN_MT gives every stage its
     own worker; MONO_ST and MONO_MT run 1 or kind.workers workers that each
     sweep all stages in registration order."""
-    clock = clock or _Clock
     frames = list(source["frames"])
     rate = source.get("rate_fps")
     n = len(frames)
     if n == 0:
         raise ValueError("empty frame source")
 
-    run = _Run(graph, n, clock, shared_wakeup=kind.kind != CHAIN_MT)
+    run = _Run(graph, n, shared_wakeup=kind.kind != CHAIN_MT)
     if kind.kind == CHAIN_MT:
         served = [[name] for name in run.order]
     else:
@@ -277,23 +269,22 @@ def _execute(graph: CallbackGraph, kind: ExecutorKind, source: dict, clock=None)
     stats = RunStats(run.results, np.zeros(n), run.done)
     threads = [threading.Thread(target=run.serve, args=(names,), daemon=True)
                for names in served]
-    threads.append(threading.Thread(target=_watch_backlog, args=(stats, run, clock),
-                                    daemon=True))
+    threads.append(threading.Thread(target=_watch_backlog, args=(stats, run), daemon=True))
     for t in threads:
         t.start()
 
-    stats.pump_t0 = clock.monotonic()
+    stats.pump_t0 = time.monotonic()
     for seq, frame in enumerate(frames):
         if run.over.is_set():
             break  # a stage failed; the rest of the schedule would run for nothing
         if rate:
             target = stats.pump_t0 + seq / rate
-            now = clock.monotonic()
+            now = time.monotonic()
             if target > now:
-                clock.sleep(target - now)
-        stats.ingress[seq] = clock.monotonic()
+                time.sleep(target - now)
+        stats.ingress[seq] = time.monotonic()
         run.route(None, seq, frame)
-    stats.pump_t1 = clock.monotonic()
+    stats.pump_t1 = time.monotonic()
 
     run.over.wait()
     for t in threads:
@@ -305,7 +296,7 @@ def _execute(graph: CallbackGraph, kind: ExecutorKind, source: dict, clock=None)
 
 def run_in_order(graph: CallbackGraph, frames) -> list:
     """The graph run synchronously in the calling thread, each frame drained
-    through every stage before the next is fed: no threads, clock or backlog
+    through every stage before the next is fed: no threads or backlog
     watcher. Returns the sink output of every frame in frame order."""
     frames = list(frames)
     run = _Run(graph, len(frames))
@@ -318,10 +309,10 @@ def run_in_order(graph: CallbackGraph, frames) -> list:
     return run.results
 
 
-def _watch_backlog(stats: RunStats, run: _Run, clock):
+def _watch_backlog(stats: RunStats, run: _Run):
     while not run.over.is_set():
         backlog = sum(len(q) for q in run.pending.values())
-        stats.backlog_samples.append((clock.monotonic(), backlog))
+        stats.backlog_samples.append((time.monotonic(), backlog))
         run.over.wait(0.02)
 
 
@@ -357,13 +348,12 @@ class TimingReport:
                    float(q[3]), float(q[4]), float(rts.max()), env)
 
 
-def run_stream(graph: CallbackGraph, kind: ExecutorKind, source, clock=None,
-               warmup: int = 20):
+def run_stream(graph: CallbackGraph, kind: ExecutorKind, source, warmup: int = 20):
     """Drive the graph over the source frames; returns (scores, TimingReport).
 
     scores is the per-frame emission sequence in frame order (None for frames
     the detector skipped while its flow history warmed up)."""
-    stats = _execute(graph, kind, source, clock)
+    stats = _execute(graph, kind, source)
     n = len(stats.scores)
     if n <= warmup:
         raise ValueError(f"need more than warmup={warmup} frames, got {n}")
@@ -376,7 +366,6 @@ class ThroughputEntry:
     rate_fps: float
     sustained_fps: float
     backlog_slope: float
-    drops: int
     sustained: bool
 
 
@@ -393,11 +382,11 @@ class ThroughputReport:
 
 
 def throughput_sweep(graph: CallbackGraph, kind: ExecutorKind, rates,
-                     duration_s: float, frame_factory, clock=None) -> ThroughputReport:
+                     duration_s: float, frame_factory) -> ThroughputReport:
     """Drive the graph at each offered rate for duration_s; sustained output
     is measured over the trailing half of the drive window, the backlog slope
-    over the drive window. Queues are unbounded, so drops are always zero and
-    overload shows up as backlog growth."""
+    over the drive window. Queues are unbounded, so overload shows up as
+    backlog growth."""
     rates = list(rates)
     if any(r <= 0 for r in rates) or sorted(rates) != rates:
         raise ValueError("rates must be positive and ascending")
@@ -405,7 +394,7 @@ def throughput_sweep(graph: CallbackGraph, kind: ExecutorKind, rates,
     for rate in rates:
         n = max(int(np.ceil(rate * duration_s)), 2)
         frames = [frame_factory(i) for i in range(n)]
-        stats = _execute(graph, kind, {"frames": frames, "rate_fps": rate}, clock)
+        stats = _execute(graph, kind, {"frames": frames, "rate_fps": rate})
         # trailing 50% of the output span: under overload this covers the
         # saturated drain, so the measurement converges on service capacity
         t_last = float(stats.done.max())
@@ -420,7 +409,7 @@ def throughput_sweep(graph: CallbackGraph, kind: ExecutorKind, rates,
         else:
             slope = 0.0
         ok = sustained >= 0.95 * rate and slope <= max(0.05 * rate, 1.0)
-        entries.append(ThroughputEntry(float(rate), float(sustained), slope, 0, bool(ok)))
+        entries.append(ThroughputEntry(float(rate), float(sustained), slope, bool(ok)))
     return ThroughputReport(tuple(entries))
 
 
@@ -452,10 +441,9 @@ def build_graph(bundle) -> CallbackGraph:
     if isinstance(bundle, FlowBundle):
         genome = bundle.genome
         fb = bundle.farneback
-        crop_box = bundle.crop_box
 
         def pre_fn(img, hist: FlowHistory):
-            return of_preprocess_step(img, genome, fb, hist, crop_box)
+            return of_preprocess_step(img, genome, fb, hist)
 
         def post_fn(latents, states):
             lat_u, lat_v = latents
@@ -491,22 +479,16 @@ def build_graph(bundle) -> CallbackGraph:
 
 @dataclass(frozen=True)
 class BenchConfig:
+    """Phase-4 settings: the response-time matrix (n_frames offered at
+    rate_fps, None for all at once, timing after warmup frames), the
+    throughput sweep, and the mono_mt pool size."""
+
     n_frames: int = 200
     rate_fps: Optional[float] = 30.0
     warmup: int = 20
-    throughput_rates: tuple = ()
+    throughput_rates: tuple = (5.0, 15.0, 30.0, 60.0)
     throughput_duration_s: float = 2.0
-
-
-@dataclass
-class BundleSet:
-    """One candidate across its quantization levels."""
-
-    name: str
-    bundles: dict  # precision -> bundle
-
-    def family(self):
-        return next(iter(self.bundles.values())).family
+    mono_mt_workers: int = 2
 
 
 def _stream_auroc(scores, labels):
@@ -519,77 +501,63 @@ def _stream_auroc(scores, labels):
     return auroc(ids, oods)
 
 
-def bench_matrix(bundle_sets, precisions, kinds, frames, labels,
+def bench_matrix(bundles: dict, precisions, kinds, frames, labels,
                  cfg: BenchConfig = BenchConfig()):
-    """Measure the full (bundle x precision x executor) cross product under an
-    identical frame source. Returns a list of row dicts; failed cells carry an
-    'error' entry and the run continues. AUROC deltas are relative to the
-    first bundle set at f32 (score sequences are executor-invariant, so the
-    baseline is computed once)."""
+    """Measure the (precision x executor) cross product of one detector,
+    bundles mapping precision -> bundle, under an identical frame source.
+    Returns a list of row dicts; failed cells carry an 'error' entry and the
+    run continues. AUROC deltas are relative to the f32 cell (score sequences
+    are executor-invariant, so the baseline is computed once)."""
     frames = list(frames)[:cfg.n_frames]
     labels = list(labels)[:cfg.n_frames]
+    family = next(iter(bundles.values())).family
     rows = []
     baseline_auroc = None
-    for si, bset in enumerate(bundle_sets):
-        for precision in precisions:
-            bundle = bset.bundles.get(precision)
-            scores = None
-            for kind in kinds:
-                row = {
-                    "bundle": bset.name,
-                    "family": bset.family(),
-                    "precision": precision,
-                    "executor": kind.kind,
-                }
-                if bundle is None:
-                    row["error"] = f"no {precision} bundle"
-                    rows.append(row)
-                    continue
-                g = bundle.genome
-                row["genome"] = (f"{g.size[0]}x{g.size[1]}/{g.interpolation}/"
-                                 f"{g.color or g.flow_depth}")
-                row["input_size"] = f"{g.size[0]}x{g.size[1]}"
-                try:
-                    graph = build_graph(bundle)
-                    scores, report = run_stream(
-                        graph, kind, {"frames": frames, "rate_fps": cfg.rate_fps},
-                        warmup=cfg.warmup)
-                    row.update({
-                        "mean_ms": report.mean * 1e3, "min_ms": report.min * 1e3,
-                        "q1_ms": report.q1 * 1e3, "median_ms": report.median * 1e3,
-                        "q3_ms": report.q3 * 1e3, "p95_ms": report.p95 * 1e3,
-                        "p99_ms": report.p99 * 1e3, "max_ms": report.max * 1e3,
-                    })
-                    row["auroc"] = _stream_auroc(scores, labels)
-                    if si == 0 and precision == "f32" and baseline_auroc is None:
-                        baseline_auroc = row["auroc"]
-                    if row["auroc"] is not None and baseline_auroc is not None:
-                        row["auroc_delta_vs_baseline"] = row["auroc"] - baseline_auroc
-                    for rate in cfg.throughput_rates:
-                        tp = throughput_sweep(graph, kind, [rate],
-                                              cfg.throughput_duration_s,
-                                              lambda i: frames[i % len(frames)])
-                        row[f"sustained_fps_at_{rate:g}"] = tp.entries[0].sustained_fps
-                except Exception as exc:  # noqa: BLE001 - cell failure is data
-                    row["error"] = f"{type(exc).__name__}: {exc}"
+    for precision in precisions:
+        bundle = bundles.get(precision)
+        for kind in kinds:
+            row = {"family": family, "precision": precision, "executor": kind.kind}
+            if bundle is None:
+                row["error"] = f"no {precision} bundle"
                 rows.append(row)
+                continue
+            g = bundle.genome
+            row["genome"] = (f"{g.size[0]}x{g.size[1]}/{g.interpolation}/"
+                             f"{g.color or g.flow_depth}")
+            row["input_size"] = f"{g.size[0]}x{g.size[1]}"
+            try:
+                scores, report = run_stream(
+                    build_graph(bundle), kind,
+                    {"frames": frames, "rate_fps": cfg.rate_fps}, warmup=cfg.warmup)
+                row.update({
+                    "mean_ms": report.mean * 1e3, "min_ms": report.min * 1e3,
+                    "q1_ms": report.q1 * 1e3, "median_ms": report.median * 1e3,
+                    "q3_ms": report.q3 * 1e3, "p95_ms": report.p95 * 1e3,
+                    "p99_ms": report.p99 * 1e3, "max_ms": report.max * 1e3,
+                })
+                row["auroc"] = _stream_auroc(scores, labels)
+                if precision == "f32" and baseline_auroc is None:
+                    baseline_auroc = row["auroc"]
+                if row["auroc"] is not None and baseline_auroc is not None:
+                    row["auroc_delta_vs_baseline"] = row["auroc"] - baseline_auroc
+            except Exception as exc:  # noqa: BLE001 - cell failure is data
+                row["error"] = f"{type(exc).__name__}: {exc}"
+            rows.append(row)
     return rows
 
 
 BENCH_CSV_COLUMNS = [
-    "bundle", "family", "genome", "precision", "executor", "input_size",
+    "family", "genome", "precision", "executor", "input_size",
     "mean_ms", "min_ms", "q1_ms", "median_ms", "q3_ms", "p95_ms", "p99_ms",
     "max_ms", "auroc", "auroc_delta_vs_baseline", "error",
 ]
 
 
 def bench_rows_to_csv(rows) -> str:
-    extra = sorted({k for r in rows for k in r if k.startswith("sustained_fps_at_")})
-    cols = BENCH_CSV_COLUMNS + extra
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(cols)
+    writer.writerow(BENCH_CSV_COLUMNS)
     for r in rows:
         writer.writerow([f"{v:.6g}" if isinstance(v, float) else v
-                         for v in (r.get(c) for c in cols)])
+                         for v in (r.get(c) for c in BENCH_CSV_COLUMNS)])
     return out.getvalue()

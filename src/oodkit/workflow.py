@@ -46,15 +46,13 @@ class FlowHistory:
 
 
 def of_preprocess_step(img: Image, genome: Genome, fb: FarnebackParams,
-                       hist: FlowHistory, crop_box=None):
-    """One frame through the flow frontend: resize, sharpen, crop, dense flow
+                       hist: FlowHistory):
+    """One frame through the flow frontend: resize, sharpen, dense flow
     against the previous frame, then channel stacking. Returns (u_stack,
     v_stack) or None while the history is warming up."""
     h, w = genome.size
     frame = imaging.resize(img, w, h, genome.interpolation)
     frame = imaging.sharpen(frame)
-    if crop_box is not None:
-        frame = imaging.crop(frame, *crop_box)
     frame = imaging.to_grayscale(frame)
     if hist.prev is not None:
         flow = farneback_flow(hist.prev, frame, fb)
@@ -99,7 +97,6 @@ class FlowBundle:
     calib_v: CalibrationSet
     postprocess: PostprocessConfig
     farneback: FarnebackParams = FarnebackParams()
-    crop_box: Optional[tuple] = None
 
     def __post_init__(self):
         check_precision_match(self.model_u, self.calib_u)
@@ -149,14 +146,13 @@ def evaluate_streams(score_stream_fn, streams: dict) -> tuple:
 # ---------------------------------------------------------------------------
 # Phase 2/3 loops
 
-def encoder_inputs(genome: Genome, items, fb: FarnebackParams = FarnebackParams(),
-                   crop_box=None) -> list:
+def encoder_inputs(genome: Genome, items, fb: FarnebackParams = FarnebackParams()) -> list:
     """One input list per encoder branch of the genome's family: the
     preprocessed images for bvae, or the u and the v flow stacks produced by
     the frontend over frame sequences for optflow."""
     if genome.family == BVAE:
         return [[preprocess_bvae(img, genome) for img in items]]
-    us, vs = flow_stacks_for_sequences(genome, items, fb, crop_box)
+    us, vs = flow_stacks_for_sequences(genome, items, fb)
     if not us:
         raise ValueError("no flow stacks produced; sequences shorter than flow depth?")
     return [us, vs]
@@ -229,17 +225,15 @@ class FlowTrainContext:
     farneback: FarnebackParams = FarnebackParams()
     n_latent: int = 12
     beta: float = 1e-3
-    crop_box: Optional[tuple] = None
 
 
-def flow_stacks_for_sequences(genome: Genome, sequences, fb: FarnebackParams,
-                              crop_box=None):
+def flow_stacks_for_sequences(genome: Genome, sequences, fb: FarnebackParams):
     """All (u_stack, v_stack) pairs produced by the frontend over sequences."""
     us, vs = [], []
     for seq in sequences:
         hist = FlowHistory(depth=genome.flow_depth)
         for img in seq:
-            stacks = of_preprocess_step(img, genome, fb, hist, crop_box)
+            stacks = of_preprocess_step(img, genome, fb, hist)
             if stacks is not None:
                 us.append(stacks[0])
                 vs.append(stacks[1])
@@ -248,12 +242,12 @@ def flow_stacks_for_sequences(genome: Genome, sequences, fb: FarnebackParams,
 
 def flow_bundle_for_genome(genome: Genome, ctx: FlowTrainContext) -> FlowBundle:
     def inputs(seqs):
-        return encoder_inputs(genome, seqs, ctx.farneback, ctx.crop_box)
+        return encoder_inputs(genome, seqs, ctx.farneback)
     models = train_encoders(genome, inputs(ctx.train_sequences), ctx.opts,
                             ctx.n_latent, ctx.beta)
     calibs = [build_calibration(m, data, ctx.postprocess)
               for m, data in zip(models, inputs(ctx.calib_sequences))]
-    return FlowBundle(genome, *models, *calibs, ctx.postprocess, ctx.farneback, ctx.crop_box)
+    return FlowBundle(genome, *models, *calibs, ctx.postprocess, ctx.farneback)
 
 
 def flow_fitness(genome: Genome, ctx: FlowTrainContext):

@@ -165,10 +165,27 @@ def test_bench_throughput_and_report(run_dir):
     (run_dir / "config.json").write_text(json.dumps(state_cfg))
 
 
+def test_bench_runs_no_throughput_sweep(run_dir, monkeypatch):
+    """bench measures response times only; the sweep belongs to throughput."""
+    import oodkit.pipeline as pl
+    from oodkit.pipeline import BENCH_CSV_COLUMNS
+
+    sweeps = []
+
+    def no_sweep(*args, **kwargs):
+        sweeps.append(args)  # bench_matrix reports a raising cell as data
+        raise AssertionError("bench ran a throughput sweep")
+    monkeypatch.setattr(pl, "throughput_sweep", no_sweep)
+    assert main(["--run-dir", str(run_dir), "bench"]) == 0
+    assert sweeps == []
+    with (run_dir / "bench" / "bench.csv").open(newline="") as fh:
+        assert next(csv.reader(fh)) == BENCH_CSV_COLUMNS
+
+
 def test_bench_csv_keeps_commas_in_fields():
     from oodkit.pipeline import bench_rows_to_csv
-    rows = [{"bundle": "main", "precision": "f32", "executor": "mono_st", "mean_ms": 1.23456789},
-            {"bundle": "main", "precision": "qint8", "executor": "mono_st",
+    rows = [{"precision": "f32", "executor": "mono_st", "mean_ms": 1.23456789},
+            {"precision": "qint8", "executor": "mono_st",
              "error": "ValueError: shapes (1, 2) and (3,) differ"}]
     parsed = list(csv.DictReader(io.StringIO(bench_rows_to_csv(rows))))
     assert parsed[0]["mean_ms"] == "1.23457" and parsed[0]["error"] == ""

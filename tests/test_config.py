@@ -67,3 +67,20 @@ def test_bucket_from_config():
     ob = bucket_from_config(ocfg, "L")
     assert (120, 160) in ob.sizes and (150, 200) in ob.sizes
     assert ob.flow_depths == (2, 3, 4, 5, 6)
+
+
+def test_variance_parametrization_validated():
+    with pytest.raises(ValueError, match="variance_parametrization"):
+        config_from_dict({"variance_parametrization": "std"})
+    assert config_from_dict({"variance_parametrization": "log_var"}) \
+        .variance_parametrization == "log_var"
+    # the flow encoders are always var-parametrized; any other value would do nothing
+    with pytest.raises(ValueError, match="optflow"):
+        config_from_dict({"family": "optflow", "variance_parametrization": "log_var"})
+
+
+def test_ga_settings_validated_at_load(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"ga": {"population": 1}}))
+    with pytest.raises(ValueError, match="population"):
+        load_config(path)

@@ -101,8 +101,7 @@ def flow_oracle(bundle, images):
     state_v = DetectorState(window=bundle.postprocess.window)
     scores = []
     for img in images:
-        stacks = of_preprocess_step(img, bundle.genome, bundle.farneback, hist,
-                                    bundle.crop_box)
+        stacks = of_preprocess_step(img, bundle.genome, bundle.farneback, hist)
         if stacks is None:
             continue
         lat_u = bundle.model_u.encode(stacks[0])

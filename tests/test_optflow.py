@@ -7,8 +7,8 @@ from oodkit.optflow import (
     FloMagicError,
     FloTruncatedError,
     FlowField,
+    _poly_channels,
     farneback_flow,
-    polynomial_expansion,
     read_flo,
     stack_flows,
     write_flo,
@@ -52,43 +52,42 @@ def poly_fit_oracle(img, cx, cy, poly_n, poly_sigma):
     return coef  # (c, bx, by, axx, ayy, axy)
 
 
+def poly_planes(img, poly_n, poly_sigma):
+    """The named coefficient planes of Farneback's quadratic fit."""
+    r = _poly_channels(np.asarray(img, dtype=np.float32), poly_n, poly_sigma)
+    by, bx, ayy, axx, axy2 = np.moveaxis(r, -1, 0)
+    return {"by": by, "bx": bx, "ayy": ayy, "axx": axx, "axy2": axy2}
+
+
 def test_poly_expansion_constant():
     img = np.full((12, 14), 9.5, dtype=np.float32)
-    pe = polynomial_expansion(img, 5, 1.1)
+    pe = poly_planes(img, 5, 1.1)
     inner = np.s_[3:-3, 3:-3]
-    assert np.allclose(pe.c[inner], 9.5, atol=1e-4)
-    for plane in (pe.a11, pe.a12, pe.a22, pe.bx, pe.by):
+    for plane in pe.values():
         assert np.allclose(plane[inner], 0.0, atol=1e-4)
 
 
 def test_poly_expansion_linear_ramp():
     xs = np.arange(16, dtype=np.float32)
     img = np.tile(2.0 * xs, (12, 1))
-    pe = polynomial_expansion(img, 5, 1.1)
+    pe = poly_planes(img, 5, 1.1)
     inner = np.s_[3:-3, 3:-3]
-    assert np.allclose(pe.bx[inner], 2.0, atol=1e-3)
-    assert np.allclose(pe.by[inner], 0.0, atol=1e-3)
-    assert np.allclose(pe.a11[inner], 0.0, atol=1e-3)
+    assert np.allclose(pe["bx"][inner], 2.0, atol=1e-3)
+    assert np.allclose(pe["by"][inner], 0.0, atol=1e-3)
+    assert np.allclose(pe["axx"][inner], 0.0, atol=1e-3)
 
 
 def test_poly_expansion_quadratic_matches_lsq_oracle():
     size = 21
     xs = np.arange(size, dtype=np.float64) - size // 2
     img = np.tile(xs**2, (size, 1))
-    pe = polynomial_expansion(img, 5, 1.1)
+    pe = poly_planes(img, 5, 1.1)
     cx = cy = size // 2
     coef = poly_fit_oracle(img, cx, cy, 5, 1.1)
     assert coef[3] == pytest.approx(1.0, abs=1e-6)  # oracle recovers the quadratic exactly
-    assert pe.a11[cy, cx] == pytest.approx(coef[3], abs=1e-3)
-    assert pe.a11[cy, cx] == pytest.approx(1.0, abs=1e-3)
-    assert pe.a22[cy, cx] == pytest.approx(0.0, abs=1e-3)
-
-
-def test_poly_expansion_validation():
-    with pytest.raises(ValueError):
-        polynomial_expansion(np.zeros((4, 4), np.float32), 5, 1.1)
-    with pytest.raises(ValueError):
-        polynomial_expansion(np.zeros((8, 8), np.float32), 4, 1.1)
+    assert pe["axx"][cy, cx] == pytest.approx(coef[3], abs=1e-3)
+    assert pe["axx"][cy, cx] == pytest.approx(1.0, abs=1e-3)
+    assert pe["ayy"][cy, cx] == pytest.approx(0.0, abs=1e-3)
 
 
 def test_flow_identical_frames():
@@ -182,3 +181,5 @@ def test_farneback_params_validation():
         FarnebackParams(pyramid_scale=1.0)
     with pytest.raises(ValueError):
         FarnebackParams(iterations=0)
+    with pytest.raises(ValueError):
+        FarnebackParams(poly_n=4)
