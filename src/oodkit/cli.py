@@ -36,7 +36,7 @@ from .dataset import (
 )
 from .gasearch import BVAE, Genome, MemoizedEvaluator, OPTFLOW, run_ga
 from .network import cast_model_f16, load_model, model_checksum, quantize_model, save_model
-from .oodcore import CalibrationSet, PostprocessConfig, build_calibration
+from .oodcore import CalibrationMismatchError, CalibrationSet, PostprocessConfig, build_calibration
 from .pipeline import (
     ExecutorKind,
     bench_matrix,
@@ -129,10 +129,16 @@ def _load_models(run: Path, family: str, precision: str):
 def _load_bundle(run: Path, cfg: ExperimentConfig, precision: str):
     models, genome = _load_models(run, cfg.family, precision)
     calibs = []
-    for p in _calib_paths(run, cfg.family, precision):
+    for model, p in zip(models, _calib_paths(run, cfg.family, precision)):
         if not p.exists():
             raise FileNotFoundError(f"missing calibration {p}; run calibrate first")
-        calibs.append(CalibrationSet.from_csv(p.read_text()))
+        calib = CalibrationSet.from_csv(p.read_text())
+        checksum = model_checksum(model)
+        if calib.model_checksum != checksum:
+            raise CalibrationMismatchError(
+                f"{p} was calibrated for model checksum {calib.model_checksum!r}, "
+                f"the {precision} model has {checksum!r}; rerun calibrate")
+        calibs.append(calib)
     pp = _postprocess(cfg, run)
     if cfg.family == BVAE:
         return BvaeBundle(genome, *models, *calibs, pp)
@@ -228,18 +234,18 @@ def cmd_quantize(args):
     for precision, recal in sorted(cfg.recalibrate.items()):
         if precision not in cfg.precisions or precision == "f32":
             continue
+        derived, _ = _load_models(run, cfg.family, precision)
         if recal:
-            derived, _ = _load_models(run, cfg.family, precision)
             counts = _calibrate(run, cfg, precision, derived, inputs)
             print(f"regenerated calibration for {precision}: {counts} scores")
         else:
-            for f32_c, target in zip(_calib_paths(run, cfg.family, "f32"),
-                                     _calib_paths(run, cfg.family, precision)):
+            for model, f32_c, target in zip(derived, _calib_paths(run, cfg.family, "f32"),
+                                            _calib_paths(run, cfg.family, precision)):
                 if not f32_c.exists():
                     raise FileNotFoundError(f"missing {f32_c}; run calibrate first")
                 calib = CalibrationSet.from_csv(f32_c.read_text())
                 target.write_text(CalibrationSet(calib.scores, precision,
-                                                 calib.model_checksum).to_csv())
+                                                 model_checksum(model)).to_csv())
             print(f"reused f32 calibration scores for {precision}")
     return 0
 
@@ -326,12 +332,8 @@ def cmd_ga_search(args):
     return 0
 
 
-def _executor_kinds(cfg, args=None):
-    workers = cfg.bench.mono_mt_workers
-    cap = getattr(args, "workers", None) if args is not None else None
-    if cap:
-        workers = max(2, min(workers, int(cap)))
-    return [ExecutorKind(e, workers=workers) for e in cfg.executors]
+def _executor_kinds(cfg):
+    return [ExecutorKind(e, workers=cfg.bench.mono_mt_workers) for e in cfg.executors]
 
 
 def _bench_source(cfg, rows, images):
@@ -358,7 +360,7 @@ def cmd_bench(args):
     if not bundles:
         raise FileNotFoundError("no bundles available; run train/calibrate/quantize")
     frames, labels = _bench_source(cfg, rows, images)
-    rows_out = bench_matrix(bundles, list(cfg.precisions), _executor_kinds(cfg, args),
+    rows_out = bench_matrix(bundles, list(cfg.precisions), _executor_kinds(cfg),
                             frames, labels, cfg.bench)
     (run / "bench").mkdir(exist_ok=True)
     (run / "bench" / "bench.csv").write_text(bench_rows_to_csv(rows_out))
@@ -368,6 +370,10 @@ def cmd_bench(args):
         else:
             print(f"{r['precision']}/{r['executor']}: mean={r['mean_ms']:.1f}ms "
                   f"p95={r['p95_ms']:.1f}ms auroc={r['auroc']:.3f}")
+    failed = sum("error" in r for r in rows_out)
+    if failed:
+        print(f"error: {failed} of {len(rows_out)} bench cells failed", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -383,7 +389,7 @@ def cmd_throughput(args):
             bundle = _load_bundle(run, cfg, precision)
         except FileNotFoundError:
             continue
-        for kind in _executor_kinds(cfg, args):
+        for kind in _executor_kinds(cfg):
             graph = build_graph(bundle)
             report = throughput_sweep(graph, kind, list(cfg.bench.throughput_rates),
                                       cfg.bench.throughput_duration_s,
@@ -426,6 +432,8 @@ def cmd_report(args):
         with bench_path.open(newline="") as fh:
             for vals in csv.DictReader(fh):
                 if vals.get("error"):
+                    gaps.append(f"bench cell {vals['precision']}/{vals['executor']} "
+                                f"failed: {vals['error']}")
                     continue
                 key = (vals["precision"], vals["executor"])
                 cells[key] = {"mean_ms": float(vals["mean_ms"])}
@@ -485,8 +493,6 @@ def build_parser():
         description="Design, tune, quantize, deploy, and verify deep OOD detectors.")
     parser.add_argument("--run-dir", required=True, help="artifact directory of this run")
     parser.add_argument("--config", help="experiment config JSON (stored into the run dir)")
-    parser.add_argument("--workers", type=int,
-                        help="cap on concurrent executor workers (mono_mt pool size)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("dataset-generate", help="synthesize the dataset and manifest")

@@ -152,9 +152,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         beta=base["beta"],
         variance_parametrization=base["variance_parametrization"],
         train=TrainOpts(**base["train"]),
-        postprocess=PostprocessConfig(**{
-            k: (tuple(v) if isinstance(v, list) else v)
-            for k, v in base["postprocess"].items()}),
+        postprocess=PostprocessConfig(**base["postprocess"]),
         delta_grid=tuple(base["delta_grid"]),
         precisions=tuple(base["precisions"]),
         recalibrate=dict(base["recalibrate"]),

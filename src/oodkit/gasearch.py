@@ -97,25 +97,6 @@ class Bucket:
 BVAE_INTERPOLATIONS = ("nearest", "bilinear", "bicubic")
 OF_INTERPOLATIONS = ("nearest", "bilinear", "bicubic", "area")
 
-# full-scale bucket boundaries; widths 3..76 / 77..150 / 151..224
-BVAE_BUCKET_RANGES = {"S": (3, 76), "M": (77, 150), "L": (151, 224)}
-OF_BUCKET_SIZES = {
-    "S": ((24, 32), (48, 64)),
-    "M": ((72, 96), (96, 128)),
-    "L": ((120, 160), (150, 200)),
-}
-
-
-def bvae_bucket(name: str, step: int = 1) -> Bucket:
-    lo, hi = BVAE_BUCKET_RANGES[name]
-    widths = range(lo, hi + 1, step)
-    return Bucket(name, BVAE, tuple((w, w) for w in widths), BVAE_INTERPOLATIONS, (RGB, GRAY))
-
-
-def of_bucket(name: str) -> Bucket:
-    return Bucket(name, OPTFLOW, OF_BUCKET_SIZES[name], OF_INTERPOLATIONS,
-                  flow_depths=tuple(range(2, 7)))
-
 
 @dataclass(frozen=True)
 class GAConfig:

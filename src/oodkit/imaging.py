@@ -69,24 +69,6 @@ class Image:
         return f"Image({self.width}x{self.height}x{self.channels})"
 
 
-@dataclass(frozen=True)
-class AugmentationParams:
-    """Generative-factor strengths for one augmented frame."""
-
-    rain_strength: float = 0.0
-    snow_strength: float = 0.0
-    brightness: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.rain_strength <= 0.01:
-            raise ValueError(f"rain_strength out of [0, 0.01]: {self.rain_strength}")
-        if not 0.0 <= self.snow_strength <= 0.01:
-            raise ValueError(f"snow_strength out of [0, 0.01]: {self.snow_strength}")
-        if not -1.0 <= self.brightness <= 1.0:
-            raise ValueError(f"brightness out of [-1, 1]: {self.brightness}")
-
-
 # ---------------------------------------------------------------------------
 # PNM (binary P5 / P6, maxval 255)
 
@@ -234,13 +216,6 @@ def sharpen(img: Image) -> Image:
     c = p[1:-1, 1:-1]
     out = 5 * c - p[:-2, 1:-1] - p[2:, 1:-1] - p[1:-1, :-2] - p[1:-1, 2:]
     return Image(_round_u8(out))
-
-
-def crop(img: Image, x: int, y: int, w: int, h: int) -> Image:
-    if w < 1 or h < 1 or x < 0 or y < 0 or x + w > img.width or y + h > img.height:
-        raise ValueError(
-            f"crop rectangle {w}x{h}+{x}+{y} outside {img.width}x{img.height} image")
-    return Image(img.pixels[y:y + h, x:x + w])
 
 
 def adjust_brightness(img: Image, factor: float) -> Image:

@@ -7,7 +7,6 @@ from __future__ import annotations
 import io
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -18,25 +17,12 @@ from .network.model import LatentOutput, kl_standard_normal
 class PostprocessConfig:
     window: int = 20
     decay: float = 0.1
-    epsilon_grid: int = 101
-    kl_dims: Optional[tuple] = None   # None = all latent dims
-    combine: str = "max"              # multi-encoder score combination
-    martingale: str = "mixture"       # "power" = fixed-epsilon ablation
-    fixed_epsilon: float = 0.92
 
     def __post_init__(self):
         if self.window < 1:
             raise ValueError("martingale window must be >= 1")
         if self.decay < 0:
             raise ValueError("decay must be >= 0")
-        if self.epsilon_grid < 3 or self.epsilon_grid % 2 == 0:
-            raise ValueError("epsilon_grid must be odd and >= 3")
-        if self.combine not in ("max", "mean"):
-            raise ValueError(f"unknown combine mode {self.combine!r}")
-        if self.martingale not in ("mixture", "power"):
-            raise ValueError(f"unknown martingale kind {self.martingale!r}")
-        if not 0.0 < self.fixed_epsilon < 1.0:
-            raise ValueError("fixed_epsilon must lie in (0, 1)")
 
 
 @dataclass
@@ -47,7 +33,6 @@ class DetectorState:
     window: int
     p_window: deque = field(default_factory=deque)
     cusum_s: float = 0.0
-    frames_seen: int = 0
 
     def push_p(self, p: float):
         if not 0.0 < p <= 1.0:
@@ -55,7 +40,6 @@ class DetectorState:
         self.p_window.append(p)
         while len(self.p_window) > self.window:
             self.p_window.popleft()
-        self.frames_seen += 1
 
 
 class CalibrationMismatchError(ValueError):
@@ -103,17 +87,11 @@ class CalibrationSet:
         return cls(np.asarray(scores), fields["precision"], fields.get("model_checksum", ""))
 
 
-def kl_nonconformity(latent: LatentOutput, dims: Optional[Sequence[int]] = None) -> float:
-    """Divergence of the encoded posterior from the standard normal over the
-    selected latent dims; zero iff mu=0, var=1 there."""
+def kl_nonconformity(latent: LatentOutput) -> float:
+    """Divergence of the encoded posterior from the standard normal; zero iff
+    mu=0, var=1."""
     mu = np.asarray(latent.mu, dtype=np.float64)
     var = np.asarray(latent.var, dtype=np.float64)
-    if dims is not None:
-        dims = list(dims)
-        if len(dims) == 0:
-            raise ValueError("empty latent dim subset")
-        mu = mu[dims]
-        var = var[dims]
     if np.any(var <= 0):
         raise ValueError("latent variance must be positive")
     return float(kl_standard_normal(mu, var))
@@ -126,7 +104,10 @@ def icp_pvalue(score: float, calib: CalibrationSet) -> float:
     return float((n - idx + 1) / (n + 1))
 
 
-def mixture_martingale(p_window, epsilon_grid: int = 101) -> float:
+EPSILON_GRID = 101  # odd, for Simpson's rule
+
+
+def mixture_martingale(p_window) -> float:
     """Integral over epsilon in (0,1) of prod_i epsilon * p_i^(epsilon-1),
     by Simpson's rule on an odd uniform grid, evaluated in the log domain."""
     ps = np.asarray(list(p_window), dtype=np.float64)
@@ -134,35 +115,19 @@ def mixture_martingale(p_window, epsilon_grid: int = 101) -> float:
         raise ValueError("empty p-value window")
     if np.any(ps <= 0) or np.any(ps > 1):
         raise ValueError("p-values must lie in (0, 1]")
-    if epsilon_grid < 3 or epsilon_grid % 2 == 0:
-        raise ValueError("epsilon_grid must be odd and >= 3")
     n = ps.size
     s = float(np.log(ps).sum())
-    eps = np.linspace(0.0, 1.0, epsilon_grid)
+    eps = np.linspace(0.0, 1.0, EPSILON_GRID)
     with np.errstate(divide="ignore"):
         logf = n * np.log(eps) + (eps - 1.0) * s
     logf[0] = -np.inf  # integrand -> 0 as epsilon -> 0 for n >= 1
-    w = np.ones(epsilon_grid)
+    w = np.ones(EPSILON_GRID)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     w *= (eps[1] - eps[0]) / 3.0
     peak = np.max(logf)
     vals = np.exp(logf - peak)
     return float(np.exp(peak) * np.dot(w, vals))
-
-
-def power_martingale(p_window, epsilon: float) -> float:
-    """Fixed-epsilon betting martingale over the window: prod_i eps * p_i^(eps-1).
-    The mixture martingale integrates this over epsilon; this form is kept for
-    ablations."""
-    ps = np.asarray(list(p_window), dtype=np.float64)
-    if ps.size == 0:
-        raise ValueError("empty p-value window")
-    if np.any(ps <= 0) or np.any(ps > 1):
-        raise ValueError("p-values must lie in (0, 1]")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-    return float(np.exp(ps.size * np.log(epsilon) + (epsilon - 1.0) * np.log(ps).sum()))
 
 
 def cusum_update(s: float, m: float, decay: float) -> float:
@@ -176,12 +141,8 @@ def score_frame(state: DetectorState, latent: LatentOutput, calib: CalibrationSe
                 cfg: PostprocessConfig):
     """Advance the stream state by one frame; the frame score is the running
     CUSUM statistic after the update."""
-    p = icp_pvalue(kl_nonconformity(latent, cfg.kl_dims), calib)
-    state.push_p(p)
-    if cfg.martingale == "power":
-        m = power_martingale(state.p_window, cfg.fixed_epsilon)
-    else:
-        m = mixture_martingale(state.p_window, cfg.epsilon_grid)
+    state.push_p(icp_pvalue(kl_nonconformity(latent), calib))
+    m = mixture_martingale(state.p_window)
     state.cusum_s = cusum_update(state.cusum_s, m, cfg.decay)
     return state, state.cusum_s
 
@@ -226,13 +187,10 @@ def harmonic_fitness(aurocs) -> float:
 def build_calibration(model, calib_images, cfg: PostprocessConfig,
                       checksum: str = "") -> CalibrationSet:
     """Sorted nonconformity scores of every calibration image under the model,
-    tagged with the model precision."""
+    tagged with the model precision. The score has no settings, so cfg is
+    not read."""
     xs = np.stack([np.asarray(im, dtype=np.float32) for im in calib_images])
     mu, var = model.encode_batch(xs)
-    if cfg.kl_dims is not None:
-        dims = list(cfg.kl_dims)
-        mu = mu[:, dims]
-        var = var[:, dims]
     scores = np.sort(kl_standard_normal(mu, var, axis=1))
     return CalibrationSet(scores, model.precision, checksum)
 
@@ -243,13 +201,3 @@ def check_precision_match(model, calib: CalibrationSet):
             f"calibration set was generated under {calib.precision_tag}, "
             f"model runs at {model.precision}; regenerate the calibration set")
 
-
-def top_kl_dims(id_mu, id_var, perturbed_mu, perturbed_var, k: int):
-    """Latent dims ranked by the per-dim KL gap between perturbed and ID
-    batches; an optional kl_dims selection (full-dim scoring is the default)."""
-    gap = (0.5 * (perturbed_mu**2 + perturbed_var - np.log(perturbed_var) - 1).mean(axis=0)
-           - 0.5 * (id_mu**2 + id_var - np.log(id_var) - 1).mean(axis=0))
-    if not 1 <= k <= gap.size:
-        raise ValueError(f"k must lie in [1, {gap.size}]")
-    order = np.argsort(-gap, kind="stable")
-    return tuple(int(i) for i in order[:k])

@@ -1,31 +1,15 @@
 """Dense optical flow: Gaussian-weighted quadratic expansion of image
 neighborhoods, coarse-to-fine displacement estimation, flow stacking for the
-motion-based detector, and .flo serialization."""
+motion-based detector."""
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .imaging import LUMA_WEIGHTS, Image
-
-
-class FloError(ValueError):
-    pass
-
-
-class FloMagicError(FloError):
-    pass
-
-
-class FloTruncatedError(FloError):
-    pass
-
-
-FLO_MAGIC = b"PIEH"
 
 
 @dataclass(frozen=True)
@@ -327,26 +311,3 @@ def stack_flows(flows, depth: int):
     v = np.stack([f.v for f in recent]).astype(np.float32)
     return u, v
 
-
-def write_flo(flow: FlowField) -> bytes:
-    header = FLO_MAGIC + struct.pack("<ii", flow.width, flow.height)
-    inter = np.empty((flow.height, flow.width, 2), dtype="<f4")
-    inter[..., 0] = flow.u
-    inter[..., 1] = flow.v
-    return header + inter.tobytes()
-
-
-def read_flo(data: bytes) -> FlowField:
-    if data[:4] != FLO_MAGIC:
-        raise FloMagicError(f"bad magic {data[:4]!r}")
-    if len(data) < 12:
-        raise FloTruncatedError("header truncated")
-    w, h = struct.unpack("<ii", data[4:12])
-    if w < 1 or h < 1:
-        raise FloError(f"bad dimensions {w}x{h}")
-    need = w * h * 2 * 4
-    payload = data[12:12 + need]
-    if len(payload) < need:
-        raise FloTruncatedError(f"payload has {len(payload)} bytes, expected {need}")
-    inter = np.frombuffer(payload, dtype="<f4").reshape(h, w, 2)
-    return FlowField(inter[..., 0], inter[..., 1])

@@ -33,7 +33,6 @@ from .workflow import (
     BvaeBundle,
     FlowBundle,
     FlowHistory,
-    combine_scores,
     of_preprocess_step,
     preprocess_bvae,
 )
@@ -452,7 +451,7 @@ def build_graph(bundle) -> CallbackGraph:
             state_u, state_v = states
             _, s_u = score_frame(state_u, lat_u, bundle.calib_u, pp)
             _, s_v = score_frame(state_v, lat_v, bundle.calib_v, pp)
-            return combine_scores(s_u, s_v, pp.combine)
+            return max(s_u, s_v)
 
         stages = [
             Stage("preprocess", pre_fn, stateful=True,

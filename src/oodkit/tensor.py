@@ -150,7 +150,3 @@ def f32_to_f16(x: float) -> int:
     with np.errstate(over="ignore"):  # overflow to inf is the defined behavior
         return int(np.float32(x).astype(np.float16).view(np.uint16))
 
-
-def f16_to_f32(bits: int) -> float:
-    """Value of an IEEE-754 binary16 bit pattern."""
-    return float(np.uint16(bits).view(np.float16).astype(np.float32))

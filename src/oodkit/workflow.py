@@ -111,12 +111,6 @@ class FlowBundle:
         return self.model_u.precision
 
 
-def combine_scores(s_u: float, s_v: float, mode: str) -> float:
-    if mode == "max":
-        return max(s_u, s_v)
-    return 0.5 * (s_u + s_v)
-
-
 def score_stream(bundle, frames) -> np.ndarray:
     """Per-frame scores of one stream from the deployed detector graph, run in
     frame order in the calling thread with fresh state; warm-up frames that

@@ -325,3 +325,36 @@ def test_ga_search_uses_configured_optimizer(tmp_path):
         run = _fresh_run(tmp_path, optimizer, cfg, ["ga-search", "--bucket", "S"])
         histories[optimizer] = (run / "ga" / "S" / "history.csv").read_text()
     assert histories["adam"] != histories["sgd"]
+
+
+def test_bench_failed_cell_surfaces(tmp_path, monkeypatch, capsys):
+    import oodkit.pipeline as pl
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("detector stage crashed")
+    run = _fresh_run(tmp_path, "broken", dict(FAST_CONFIG, precisions=["f32"]),
+                     ["train"], ["calibrate"])
+    monkeypatch.setattr(pl, "run_stream", broken)
+    assert main(["--run-dir", str(run), "bench"]) == 2
+    assert "1 of 1 bench cells failed" in capsys.readouterr().err
+    with (run / "bench" / "bench.csv").open(newline="") as fh:
+        [row] = list(csv.DictReader(fh))
+    assert row["error"] == "RuntimeError: detector stage crashed"
+    assert main(["--run-dir", str(run), "report"]) == 2
+    report = json.loads((run / "report.json").read_text())
+    assert report["verdict"] == "incomplete"
+    assert "bench cell f32/mono_st failed: RuntimeError: detector stage crashed" \
+        in report["gaps"]
+
+
+def test_evaluate_refuses_stale_calibration(tmp_path, capsys):
+    cfg = dict(FAST_CONFIG, precisions=["f32", "f16"])
+    run = _fresh_run(tmp_path, "stale", cfg, ["train"], ["calibrate"], ["quantize"])
+    # the reused f32 scores carry the checksum of the f16 model they now serve
+    assert main(["--run-dir", str(run), "evaluate", "--precision", "f16"]) == 0
+    retrained = tmp_path / "retrained.json"
+    retrained.write_text(json.dumps(dict(cfg, train=dict(cfg["train"], seed=1))))
+    assert main(["--run-dir", str(run), "--config", str(retrained), "train"]) == 0
+    capsys.readouterr()
+    assert main(["--run-dir", str(run), "evaluate", "--precision", "f32"]) == 2
+    assert "model checksum" in capsys.readouterr().err

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from oodkit.cli import main
 from oodkit.config import (
     Requirements,
     bucket_from_config,
@@ -31,9 +32,16 @@ def test_partial_dict_merges_with_defaults():
     assert cfg.train.lr == default_config().train.lr
 
 
-def test_unknown_key_rejected():
+def test_unknown_key_rejected(tmp_path):
     with pytest.raises(ValueError, match="unknown config key"):
         config_from_dict({"turbo": True})
+    # a removed post-processing setting fails at load time, not silently
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"postprocess": {"martingale": "power"}}))
+    with pytest.raises(TypeError, match="martingale"):
+        load_config(path)
+    assert main(["--run-dir", str(tmp_path / "run"), "--config", str(path),
+                 "dataset-generate"]) == 2
 
 
 def test_family_mismatch_rejected():

@@ -40,7 +40,6 @@ from oodkit.workflow import (
     FlowBundle,
     FlowHistory,
     calibrate_bvae,
-    combine_scores,
     flow_stacks_for_sequences,
     of_preprocess_step,
     preprocess_bvae,
@@ -108,7 +107,7 @@ def flow_oracle(bundle, images):
         lat_v = bundle.model_v.encode(stacks[1])
         state_u, s_u = score_frame(state_u, lat_u, bundle.calib_u, bundle.postprocess)
         state_v, s_v = score_frame(state_v, lat_v, bundle.calib_v, bundle.postprocess)
-        scores.append(combine_scores(s_u, s_v, bundle.postprocess.combine))
+        scores.append(max(s_u, s_v))
     return np.asarray(scores)
 
 

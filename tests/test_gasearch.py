@@ -3,16 +3,17 @@ import json
 import numpy as np
 import pytest
 
+from oodkit.config import bucket_from_config, default_config
 from oodkit.gasearch import (
     BVAE,
+    BVAE_INTERPOLATIONS,
+    Bucket,
     GAConfig,
     Genome,
     MemoizedEvaluator,
     OPTFLOW,
-    bvae_bucket,
     crossover,
     mutate,
-    of_bucket,
     random_genome,
     run_ga,
     select,
@@ -21,7 +22,6 @@ from oodkit.gasearch import (
 
 def tiny_bucket():
     """2 x 3 x 2 allele space: 12 genomes."""
-    from oodkit.gasearch import Bucket
     return Bucket("T", BVAE, ((8, 8), (12, 12)), ("nearest", "bilinear", "bicubic"),
                   ("rgb", "gray"))
 
@@ -39,12 +39,13 @@ def test_genome_validation():
 
 def test_random_genome_bucket_ranges():
     rng = np.random.default_rng(0)
-    s = bvae_bucket("S")
+    s = Bucket("S", BVAE, tuple((w, w) for w in range(3, 77)), BVAE_INTERPOLATIONS,
+               ("rgb", "gray"))
     for _ in range(50):
         g = random_genome(s, rng)
         assert 3 <= g.size[0] <= 76 and g.size[0] == g.size[1]
         assert g.color in ("rgb", "gray")
-    large = of_bucket("L")
+    large = bucket_from_config(default_config(OPTFLOW), "L")
     for _ in range(50):
         g = random_genome(large, rng)
         assert g.size in ((120, 160), (150, 200))

@@ -7,7 +7,6 @@ from oodkit.imaging import (
     BILINEAR,
     NEAREST,
     RESIZE_METHODS,
-    AugmentationParams,
     Image,
     PnmHeaderError,
     PnmMagicError,
@@ -16,7 +15,6 @@ from oodkit.imaging import (
     adjust_brightness,
     augment_rain,
     augment_snow,
-    crop,
     decode_pnm,
     encode_pnm,
     resize,
@@ -119,16 +117,6 @@ def test_sharpen():
     assert out[1, 2] == out[3, 2] == out[2, 1] == out[2, 3] == 0
 
 
-def test_crop():
-    rng = np.random.default_rng(3)
-    img = Image(rng.integers(0, 256, (6, 8, 1), dtype=np.uint8))
-    assert crop(img, 0, 0, 8, 6) == img
-    sub = crop(img, 2, 1, 3, 4)
-    assert np.array_equal(sub.pixels, img.pixels[1:5, 2:5])
-    with pytest.raises(ValueError):
-        crop(img, 6, 0, 3, 3)
-
-
 def test_brightness():
     img = gray([[100, 200]])
     assert adjust_brightness(img, 0.0) == img
@@ -155,14 +143,6 @@ def test_augmentation_strength_monotone():
         changed_weak = int(np.any(weak != orig, axis=2).sum())
         changed_strong = int(np.any(strong != orig, axis=2).sum())
         assert changed_strong > changed_weak
-
-
-def test_augmentation_params_validation():
-    AugmentationParams(rain_strength=0.01, brightness=-1.0)
-    with pytest.raises(ValueError):
-        AugmentationParams(rain_strength=0.02)
-    with pytest.raises(ValueError):
-        AugmentationParams(brightness=1.2)
 
 
 def test_synth_scene_determinism_and_distinct_scenes():

@@ -29,9 +29,8 @@ def test_kl_nonconformity_examples():
     expected = 0.5 * (0.25 - np.log(0.25) - 1)
     assert kl_nonconformity(lat([0.0], [0.25])) == pytest.approx(expected, abs=1e-9)
     assert expected == pytest.approx(0.3181, abs=1e-4)
-    assert kl_nonconformity(lat([0, 3], [1, 1]), dims=[0]) == 0.0
     with pytest.raises(ValueError):
-        kl_nonconformity(lat([0.0], [1.0]), dims=[])
+        kl_nonconformity(lat([0.0], [0.0]))
 
 
 CALIB = CalibrationSet(np.arange(1.0, 10.0), "f32")
@@ -81,40 +80,6 @@ def test_martingale_validation():
         mixture_martingale([])
     with pytest.raises(ValueError):
         mixture_martingale([0.0, 0.5])
-    with pytest.raises(ValueError):
-        mixture_martingale([0.5], epsilon_grid=10)
-
-
-def test_power_martingale_fixed_epsilon():
-    from oodkit.oodcore import power_martingale
-    # hand case: two p=0.5 at eps=0.5 -> (0.5 * 0.5^-0.5)^2 = 0.5
-    assert power_martingale([0.5, 0.5], 0.5) == pytest.approx(0.5, abs=1e-12)
-    assert power_martingale([1.0] * 5, 0.7) == pytest.approx(0.7**5)
-    with pytest.raises(ValueError):
-        power_martingale([0.5], 1.0)
-    # the ablation path is selectable in the frame scorer
-    cfg = PostprocessConfig(window=10, decay=0.0, martingale="power", fixed_epsilon=0.5)
-    state = DetectorState(window=cfg.window)
-    scores = []
-    for _ in range(15):
-        state, s = score_frame(state, lat([10.0], [1.0]), CALIB, cfg)
-        scores.append(s)
-    assert scores[-1] > 0  # small p-values still accumulate evidence
-
-
-def test_top_kl_dims_selection():
-    from oodkit.oodcore import top_kl_dims
-    rng = np.random.default_rng(30)
-    n = 400
-    id_mu = rng.normal(0, 0.1, (n, 5))
-    id_var = np.ones((n, 5))
-    pert_mu = id_mu.copy()
-    pert_mu[:, 3] += 2.0   # strongest shift
-    pert_mu[:, 1] += 1.0
-    dims = top_kl_dims(id_mu, id_var, pert_mu, np.ones((n, 5)), k=2)
-    assert dims == (3, 1)
-    with pytest.raises(ValueError):
-        top_kl_dims(id_mu, id_var, pert_mu, np.ones((n, 5)), k=9)
 
 
 def test_cusum_examples():
@@ -176,7 +141,6 @@ def test_state_window_eviction():
     for p in (0.1, 0.2, 0.3, 0.4):
         state.push_p(p)
     assert list(state.p_window) == [0.2, 0.3, 0.4]
-    assert state.frames_seen == 4
 
 
 def auroc_bruteforce(id_scores, ood_scores):
@@ -269,6 +233,4 @@ def test_postprocess_config_validation():
     with pytest.raises(ValueError):
         PostprocessConfig(window=0)
     with pytest.raises(ValueError):
-        PostprocessConfig(epsilon_grid=100)
-    with pytest.raises(ValueError):
-        PostprocessConfig(combine="median")
+        PostprocessConfig(decay=-0.1)

@@ -4,14 +4,10 @@ import pytest
 from oodkit.imaging import Image
 from oodkit.optflow import (
     FarnebackParams,
-    FloMagicError,
-    FloTruncatedError,
     FlowField,
     _poly_channels,
     farneback_flow,
-    read_flo,
     stack_flows,
-    write_flo,
 )
 
 
@@ -149,29 +145,6 @@ def test_stack_flows_warmup_and_window():
     assert [int(u[i, 0, 0]) for i in range(6)] == [3, 4, 5, 6, 7, 8]
     with pytest.raises(ValueError):
         stack_flows(flows, 7)
-
-
-def test_flo_roundtrip():
-    rng = np.random.default_rng(5)
-    f = FlowField(rng.normal(size=(6, 7)).astype(np.float32),
-                  rng.normal(size=(6, 7)).astype(np.float32))
-    back = read_flo(write_flo(f))
-    assert np.array_equal(f.u, back.u) and np.array_equal(f.v, back.v)
-
-
-def test_flo_format_arithmetic():
-    f = FlowField(np.float32([[1.5]]), np.float32([[-2.0]]))
-    raw = write_flo(f)
-    assert len(raw) == 20
-    assert raw[:4] == b"PIEH"
-
-
-def test_flo_errors():
-    with pytest.raises(FloMagicError):
-        read_flo(b"XXXX" + bytes(16))
-    good = write_flo(make_flow(1))
-    with pytest.raises(FloTruncatedError):
-        read_flo(good[:-4])
 
 
 def test_farneback_params_validation():
