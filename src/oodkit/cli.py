@@ -406,6 +406,12 @@ def cmd_throughput(args):
     return 0
 
 
+# the bench.csv column the max_response_ms gate reads, and the latency
+# statistics report.json copies into each cell
+RESPONSE_STATISTIC = "mean_ms"
+REPORT_LATENCY_STATS = (RESPONSE_STATISTIC, "p95_ms", "p99_ms")
+
+
 def cmd_report(args):
     run = _run_dir(args)
     cfg = _config(args, run)
@@ -436,7 +442,7 @@ def cmd_report(args):
                                 f"failed: {vals['error']}")
                     continue
                 key = (vals["precision"], vals["executor"])
-                cells[key] = {"mean_ms": float(vals["mean_ms"])}
+                cells[key] = {stat: float(vals[stat]) for stat in REPORT_LATENCY_STATS}
     else:
         gaps.append("missing bench results (run bench)")
     if tp_path.exists():
@@ -454,7 +460,7 @@ def cmd_report(args):
     nonfunctional_pass = False
     passing = []
     for (precision, executor), c in sorted(cells.items()):
-        ok = (c["mean_ms"] <= req.max_response_ms
+        ok = (c[RESPONSE_STATISTIC] <= req.max_response_ms
               and c.get("max_sustained_fps", 0.0) >= req.min_throughput_fps)
         cell_rows.append({"precision": precision, "executor": executor, **c, "pass": ok})
         if ok:
@@ -471,6 +477,7 @@ def cmd_report(args):
     report = {
         "requirements": {"min_auroc": req.min_auroc,
                          "max_response_ms": req.max_response_ms,
+                         "response_statistic": RESPONSE_STATISTIC,
                          "min_throughput_fps": req.min_throughput_fps},
         "functional": functional,
         "nonfunctional": {"cells": cell_rows, "pass": nonfunctional_pass},

@@ -7,7 +7,8 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..tensor import F16, F32, QINT8, QuantParams, Tensor, calibrate_quant_params, round_half_away
+from ..tensor import (F16, F32, QINT8, QMAX, QMIN, QuantParams, Tensor, calibrate_quant_params,
+                      round_half_away)
 from . import layers as L
 from .model import DetectorModel, ModelSpec, build_decoder, build_encoder
 
@@ -51,52 +52,65 @@ def fold_batchnorm(model: DetectorModel) -> DetectorModel:
     return DetectorModel(folded_spec, F32, new_layers, None, metadata=dict(model.metadata))
 
 
+def _requantize(y, qp: QuantParams):
+    """In place: the int8 code clip(round_half_away(y / scale) + zero_point)
+    of each real value in the float64 buffer y, kept as float64."""
+    np.divide(y, qp.scale, out=y)
+    sign = np.sign(y)
+    np.abs(y, out=y)
+    y += 0.5
+    np.floor(y, out=y)
+    y *= sign
+    y += qp.zero_point
+    return np.clip(y, QMIN, QMAX, out=y)
+
+
 class _QConv:
-    def __init__(self, wq, w_scale, bias, stride, padding, in_qp, out_qp, emit_f32):
-        self.wq = wq.astype(np.int64)
-        self.w_scale = float(w_scale)
+    """Convolution on NHWC codes. The float64 GEMM is exact: each product of
+    a centred code (|q - zp| <= 255) and a weight (|w| <= 128) is an integer,
+    and so is every partial sum, all far below 2**53."""
+
+    def __init__(self, wq, w_scale, bias, stride, padding, in_qp, out_qp):
+        self.kernel = wq.shape[2]
+        # (k*k*C, OC), rows in (kh, kw, C) order: the columns then copy runs of
+        # C contiguous NHWC codes, faster than the (C, kh, kw) order
+        self.wmat = np.ascontiguousarray(
+            wq.transpose(2, 3, 1, 0).reshape(-1, wq.shape[0]), dtype=np.float64)
+        self.scale = in_qp.scale * float(w_scale)
         self.bias = bias.astype(np.float64)
         self.stride = stride
         self.padding = padding
         self.in_qp = in_qp
         self.out_qp = out_qp
-        self.emit_f32 = emit_f32
 
     def run(self, q):
-        s, p = self.stride, self.padding
+        s, p, k = self.stride, self.padding, self.kernel
         xi = q - self.in_qp.zero_point  # zero pad in real domain == pad codes with zp
         if p:
-            xi = np.pad(xi, ((0, 0), (0, 0), (p, p), (p, p)))
-        k = self.wq.shape[2]
-        win = sliding_window_view(xi, (k, k), axis=(2, 3))[:, :, ::s, ::s]
-        cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(
-            win.shape[0], win.shape[2], win.shape[3], -1).astype(np.int64)
-        acc = cols @ self.wq.reshape(self.wq.shape[0], -1).T
-        out = acc * (self.in_qp.scale * self.w_scale) + self.bias
-        out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
-        if self.emit_f32:
-            return out.astype(np.float32)
-        oq = round_half_away(out / self.out_qp.scale) + self.out_qp.zero_point
-        return np.clip(oq, -128, 127).astype(np.int64)
+            xi = np.pad(xi, ((0, 0), (p, p), (p, p), (0, 0)))
+        win = sliding_window_view(xi, (k, k), axis=(1, 2))[:, ::s, ::s]  # (N, OH, OW, C, kh, kw)
+        y = win.transpose(0, 1, 2, 4, 5, 3).reshape(win.shape[:3] + (-1,)) @ self.wmat
+        y *= self.scale
+        y += self.bias
+        return _requantize(y, self.out_qp)
 
 
 class _QDense:
     def __init__(self, wq, w_scale, bias, in_qp, out_qp, emit_f32):
-        self.wq = wq.astype(np.int64)
-        self.w_scale = float(w_scale)
+        self.wmat = np.asarray(wq, dtype=np.float64)
+        self.scale = in_qp.scale * float(w_scale)
         self.bias = bias.astype(np.float64)
         self.in_qp = in_qp
         self.out_qp = out_qp
         self.emit_f32 = emit_f32
 
     def run(self, q):
-        xi = (q - self.in_qp.zero_point).astype(np.int64)
-        acc = xi @ self.wq
-        out = acc * (self.in_qp.scale * self.w_scale) + self.bias
+        y = (q - self.in_qp.zero_point) @ self.wmat
+        y *= self.scale
+        y += self.bias
         if self.emit_f32:
-            return out.astype(np.float32)
-        oq = round_half_away(out / self.out_qp.scale) + self.out_qp.zero_point
-        return np.clip(oq, -128, 127).astype(np.int64)
+            return y.astype(np.float32)
+        return _requantize(y, self.out_qp)
 
 
 class _QRelu:
@@ -114,25 +128,34 @@ class _QMaxPool:
         self.kernel = kernel
 
     def run(self, q):
-        return L.max_pool(q, self.kernel)
+        # layers.max_pool's running maximum over the k*k strided taps, on the
+        # NHWC spatial axes (1, 2); trailing rows and columns are dropped
+        k = self.kernel
+        oh, ow = q.shape[1] // k, q.shape[2] // k
+        taps = [q[:, i:i + oh * k:k, j:j + ow * k:k] for i in range(k) for j in range(k)]
+        out = taps[0].copy()
+        for tap in taps[1:]:
+            np.maximum(out, tap, out=out)
+        return out
 
 
 class _QFlatten:
     def run(self, q):
-        return q.reshape(q.shape[0], -1)
+        # NHWC -> NCHW first, so rows match the float model's flatten order
+        return q.transpose(0, 3, 1, 2).reshape(q.shape[0], -1)
 
 
 class QuantizedEncoder:
-    """Integer inference plan: int8 codes between layers, >=32-bit accumulate
-    inside them, f32 only at the head output."""
+    """Integer inference plan: int8 codes between layers, held as integer-
+    valued float64 in NHWC layout, exact integer accumulation inside them,
+    f32 only at the head output."""
 
     def __init__(self, input_qp: QuantParams, ops):
         self.input_qp = input_qp
         self.ops = ops
 
     def forward(self, xs: np.ndarray) -> np.ndarray:
-        q = round_half_away(xs.astype(np.float64) / self.input_qp.scale) + self.input_qp.zero_point
-        q = np.clip(q, -128, 127).astype(np.int64)
+        q = _requantize(xs.astype(np.float64), self.input_qp).transpose(0, 2, 3, 1)
         for op in self.ops:
             q = op.run(q)
         return q.astype(np.float32)
@@ -196,7 +219,7 @@ def rebuild_quantized(spec: ModelSpec, weights: dict, sites: dict, metadata: dic
             out_site = f"out.{i}"
             if ls.kind == "conv2d":
                 ops.append(_QConv(wt.data, wt.quant.scale, bias, ls.stride, ls.padding,
-                                  qps[cur_site], qps[out_site], i == last_dense))
+                                  qps[cur_site], qps[out_site]))
             else:
                 ops.append(_QDense(wt.data, wt.quant.scale, bias,
                                    qps[cur_site], qps[out_site], i == last_dense))

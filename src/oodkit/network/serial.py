@@ -135,6 +135,44 @@ def model_checksum(model: DetectorModel) -> str:
     return f"{zlib.crc32(bytes(payload)) & 0xFFFFFFFF:08x}"
 
 
+def _quant_params(what, pair) -> QuantParams:
+    try:
+        scale, zero_point = pair
+        if not isinstance(zero_point, int):
+            raise TypeError(f"zero_point must be an integer, got {zero_point!r}")
+        return QuantParams(scale, zero_point)
+    except (TypeError, ValueError) as exc:
+        raise OodmError(f"{what}: {exc}") from exc
+
+
+def _stored(tensors: dict, name: str, shape) -> Tensor:
+    if name not in tensors:
+        raise OodmError(f"model file missing tensor {name!r}")
+    t = tensors[name]
+    if tuple(t.shape) != tuple(shape):
+        raise OodmError(f"tensor {name!r} has shape {t.shape}, expected {tuple(shape)}")
+    return t
+
+
+def _check_qint8(spec: ModelSpec, tensors: dict, sites: dict):
+    """Refuse a qint8 file the integer plan cannot run on: each conv/dense
+    needs a qint8 weight and an f32 bias shaped as its spec layer's, and
+    every activation site the plan reads must be a valid affine mapping."""
+    needed = ["input"]
+    for i, layer in enumerate(build_encoder(spec)):
+        for pname, arr in layer.params.items():
+            t = _stored(tensors, f"enc.{i}.{pname}", arr.shape)
+            want = QINT8 if pname == "w" else F32
+            if t.dtype != want:
+                raise OodmError(f"tensor 'enc.{i}.{pname}' is {t.dtype}, expected {want}")
+        if layer.params:
+            needed.append(f"out.{i}")
+    for name in needed:
+        if name not in sites:
+            raise OodmError(f"model file missing activation site {name!r}")
+        _quant_params(f"activation site {name!r}", sites[name])
+
+
 def load_model(data: bytes) -> DetectorModel:
     if data[:4] != MAGIC:
         raise OodmMagicError(f"bad magic {data[:4]!r}")
@@ -161,24 +199,22 @@ def load_model(data: bytes) -> DetectorModel:
             raise OodmError(f"tensor {entry['name']!r} payload truncated")
         quant = None
         if "scale" in entry:
-            quant = QuantParams(entry["scale"], entry["zero_point"])
+            quant = _quant_params(f"tensor {entry['name']!r}",
+                                  (entry["scale"], entry["zero_point"]))
         tensors[entry["name"]] = Tensor.from_bytes(raw, entry["dtype"], entry["shape"], quant)
 
     precision = header["precision"]
     metadata = header.get("metadata", {})
     if precision == QINT8:
-        sites = {k: tuple(v) for k, v in header["activation_quant"].items()}
+        sites = {k: tuple(v) for k, v in (header.get("activation_quant") or {}).items()}
+        _check_qint8(spec, tensors, sites)
         return rebuild_quantized(spec, tensors, sites, metadata)
 
     encoder = build_encoder(spec)
     decoder = build_decoder(spec) if header.get("has_decoder") else None
     model = DetectorModel(spec, precision, encoder, decoder, metadata=metadata)
     for name, arr in model.named_params():
-        if name not in tensors:
-            raise OodmError(f"model file missing tensor {name!r}")
-        stored = tensors[name].data
-        if tuple(stored.shape) != tuple(arr.shape):
-            raise OodmError(f"tensor {name!r} has shape {stored.shape}, expected {arr.shape}")
+        stored = _stored(tensors, name, arr.shape).data
         prefix, idx, pname = name.split(".")
         group = model.encoder if prefix == "enc" else model.decoder
         layer = group[int(idx)]

@@ -500,13 +500,20 @@ def _stream_auroc(scores, labels):
     return auroc(ids, oods)
 
 
+# what a detector cell may raise on bad data, numerics or I/O; a bug such as
+# an AssertionError, TypeError or AttributeError is not a measurement
+CELL_FAILURES = (ValueError, RuntimeError, ArithmeticError, OSError)
+
+
 def bench_matrix(bundles: dict, precisions, kinds, frames, labels,
                  cfg: BenchConfig = BenchConfig()):
     """Measure the (precision x executor) cross product of one detector,
     bundles mapping precision -> bundle, under an identical frame source.
-    Returns a list of row dicts; failed cells carry an 'error' entry and the
-    run continues. AUROC deltas are relative to the f32 cell (score sequences
-    are executor-invariant, so the baseline is computed once)."""
+    Returns a list of row dicts. A cell that raises one of CELL_FAILURES
+    carries an 'error' entry and the run continues; any other exception is a
+    programming error and propagates. AUROC deltas are relative to the f32
+    cell (score sequences are executor-invariant, so the baseline is
+    computed once)."""
     frames = list(frames)[:cfg.n_frames]
     labels = list(labels)[:cfg.n_frames]
     family = next(iter(bundles.values())).family
@@ -539,7 +546,7 @@ def bench_matrix(bundles: dict, precisions, kinds, frames, labels,
                     baseline_auroc = row["auroc"]
                 if row["auroc"] is not None and baseline_auroc is not None:
                     row["auroc_delta_vs_baseline"] = row["auroc"] - baseline_auroc
-            except Exception as exc:  # noqa: BLE001 - cell failure is data
+            except CELL_FAILURES as exc:
                 row["error"] = f"{type(exc).__name__}: {exc}"
             rows.append(row)
     return rows

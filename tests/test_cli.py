@@ -42,6 +42,10 @@ def run_dir(tmp_path_factory):
     assert main(["--run-dir", str(run), "--config", str(cfg_path), "dataset-generate"]) == 0
     assert main(["--run-dir", str(run), "train"]) == 0
     assert main(["--run-dir", str(run), "calibrate", "--precision", "f32"]) == 0
+    # every artifact report reads, so each test also passes when run alone
+    assert main(["--run-dir", str(run), "quantize"]) == 0
+    for precision in ("f32", "qint8"):
+        assert main(["--run-dir", str(run), "evaluate", "--precision", precision]) == 0
     return run
 
 
@@ -100,7 +104,6 @@ def test_sweep_delta_argmax_and_state(run_dir):
 
 
 def test_quantize_and_tag_mismatch_detection(run_dir):
-    assert main(["--run-dir", str(run_dir), "quantize"]) == 0
     assert (run_dir / "models" / "main_qint8.oodm").exists()
     assert (run_dir / "calib" / "main_qint8.csv").exists()
     # calibration regenerated for qint8 differs from the f32 set
@@ -156,6 +159,19 @@ def test_bench_throughput_and_report(run_dir):
     assert report["verdict"] in ("pass", "fail")
     assert rc == (0 if report["verdict"] == "pass" else 1)
     assert json.loads(json.dumps(report)) == report
+    # each cell names its latency statistics; the gate reads the mean
+    assert report["requirements"]["response_statistic"] == "mean_ms"
+    with (run_dir / "bench" / "bench.csv").open(newline="") as fh:
+        rows = {(r["precision"], r["executor"]): r for r in csv.DictReader(fh)}
+    cells = report["nonfunctional"]["cells"]
+    assert len(cells) == len(rows) == 2
+    req = FAST_CONFIG["requirements"]
+    for cell in cells:
+        row = rows[(cell["precision"], cell["executor"])]
+        for stat in ("mean_ms", "p95_ms", "p99_ms"):
+            assert cell[stat] == float(row[stat])
+        assert cell["pass"] == (cell["mean_ms"] <= req["max_response_ms"]
+                                and cell.get("max_sustained_fps", 0.0) >= req["min_throughput_fps"])
     # flipping requirements flips the verdict
     state_cfg = json.loads((run_dir / "config.json").read_text())
     state_cfg["requirements"]["min_auroc"] = 0.999
@@ -173,7 +189,7 @@ def test_bench_runs_no_throughput_sweep(run_dir, monkeypatch):
     sweeps = []
 
     def no_sweep(*args, **kwargs):
-        sweeps.append(args)  # bench_matrix reports a raising cell as data
+        sweeps.append(args)  # seen even if a caller turned the raise into an exit code
         raise AssertionError("bench ran a throughput sweep")
     monkeypatch.setattr(pl, "throughput_sweep", no_sweep)
     assert main(["--run-dir", str(run_dir), "bench"]) == 0
@@ -345,6 +361,22 @@ def test_bench_failed_cell_surfaces(tmp_path, monkeypatch, capsys):
     assert report["verdict"] == "incomplete"
     assert "bench cell f32/mono_st failed: RuntimeError: detector stage crashed" \
         in report["gaps"]
+
+
+def test_bench_programming_error_propagates(tmp_path, monkeypatch, capsys):
+    import oodkit.pipeline as pl
+
+    def buggy(*args, **kwargs):
+        raise AssertionError("executor invariant broken")
+    run = _fresh_run(tmp_path, "buggy", dict(FAST_CONFIG, precisions=["f32"]),
+                     ["train"], ["calibrate"])
+    monkeypatch.setattr(pl, "run_stream", buggy)
+    capsys.readouterr()
+    # not a failed cell: the bug leaves bench_matrix and the CLI boundary exits 2
+    assert main(["--run-dir", str(run), "bench"]) == 2
+    err = capsys.readouterr().err
+    assert "error: executor invariant broken" in err and "cells failed" not in err
+    assert not (run / "bench" / "bench.csv").exists()
 
 
 def test_evaluate_refuses_stale_calibration(tmp_path, capsys):

@@ -24,6 +24,7 @@ from oodkit.network.model import (
     BatchNormSpec,
     ConvSpec,
     DenseSpec,
+    DetectorModel,
     FlattenSpec,
     LatentOutput,
     MaxPoolSpec,
@@ -33,6 +34,7 @@ from oodkit.network.model import (
 )
 from oodkit.network.serial import OodmChecksumError, OodmError, OodmMagicError
 from oodkit.network.train import loss_and_grads
+from oodkit.tensor import QuantParams, Tensor, round_half_away
 
 
 def conv_reference(x, w, b, stride, padding):
@@ -371,19 +373,61 @@ def test_save_load_errors():
     corrupted[-10] ^= 0xFF
     with pytest.raises(OodmChecksumError):
         load_model(bytes(corrupted))
-    import json, struct
-    hlen = struct.unpack("<II", raw[4:12])[1]
-    header = json.loads(raw[12:12 + hlen])
-    header["spec"]["layers"][0]["kind"] = "mystery"
-    hb = json.dumps(header, sort_keys=True).encode()
-    bad = raw[:4] + struct.pack("<II", 1, len(hb)) + hb + raw[12 + hlen:]
+    bad = edit_header(raw, lambda h: h["spec"]["layers"][0].update(kind="mystery"))
     with pytest.raises(OodmError, match="mystery"):
         load_model(bad)
 
 
+def edit_header(raw, edit):
+    import json, struct
+    hlen = struct.unpack("<II", raw[4:12])[1]
+    header = json.loads(raw[12:12 + hlen])
+    edit(header)
+    hb = json.dumps(header, sort_keys=True).encode()
+    return raw[:4] + struct.pack("<II", 1, len(hb)) + hb + raw[12 + hlen:]
+
+
+def _set_site(name, scale=None, zero_point=None):
+    def edit(header):
+        s, z = header["activation_quant"][name]
+        header["activation_quant"][name] = [s if scale is None else scale,
+                                            z if zero_point is None else zero_point]
+    return edit
+
+
+def _transpose_weight(header):
+    entry = next(e for e in header["tensors"] if e["name"] == "enc.0.w")
+    entry["shape"] = entry["shape"][1:2] + entry["shape"][:1] + entry["shape"][2:]
+
+
+@pytest.mark.parametrize("edit,match", [
+    (_set_site("out.0", scale=0.0), "scale"),
+    (_set_site("out.0", scale=-1e-3), "scale"),
+    (_set_site("input", scale=float("inf")), "scale"),
+    (_set_site("input", scale=float("nan")), "scale"),
+    (_set_site("out.0", zero_point=128), "zero_point"),
+    (_set_site("out.0", zero_point=-129), "zero_point"),
+    (_set_site("out.0", zero_point=3.5), "zero_point"),
+    (_transpose_weight, "shape"),
+    (lambda h: h["activation_quant"].pop("out.0"), "site"),
+    (lambda h: h["activation_quant"]["out.0"].pop(), "site"),
+    (lambda h: h.pop("activation_quant"), "site"),
+])
+def test_load_refuses_invalid_qint8_model(edit, match, monkeypatch):
+    from oodkit.network import serial
+    raw = save_model(quantize_model(trained_tiny(3), train_images(12)))
+    assert load_model(edit_header(raw, lambda h: None)).precision == "qint8"
+
+    def unreachable(*args):
+        raise AssertionError("rebuild_quantized reached")
+    monkeypatch.setattr(serial, "rebuild_quantized", unreachable)
+    with pytest.raises(OodmError, match=match):
+        load_model(edit_header(raw, edit))
+
+
 def test_quantized_path_matches_f32_at_fine_scales():
     # synthetic fine-grained QuantParams: the integer path converges on f32
-    from oodkit.network.quantize import QuantizedEncoder, _QDense, _QRelu
+    from oodkit.network.quantize import QuantizedEncoder, _QDense, _QFlatten, _QRelu
     from oodkit.tensor import QuantParams
     rng = np.random.default_rng(20)
     w = (rng.uniform(-0.1, 0.1, (4, 3)) * 1000).round() / 1000
@@ -394,9 +438,9 @@ def test_quantized_path_matches_f32_at_fine_scales():
     wq = np.round(w / s_w).astype(np.int8)
     in_qp = QuantParams(1e-3, 0)
     out_qp = QuantParams(1e-3, 0)
-    enc = QuantizedEncoder(in_qp, [_QDense(wq, s_w, b, in_qp, out_qp, emit_f32=True),
+    enc = QuantizedEncoder(in_qp, [_QFlatten(), _QDense(wq, s_w, b, in_qp, out_qp, emit_f32=True),
                                    _QRelu(0)])
-    q_out = enc.forward(x.astype(np.float32))
+    q_out = enc.forward(x.astype(np.float32)[:, :, None, None])  # (N, C, 1, 1) images
     assert np.allclose(q_out, f32_out, atol=1e-5)
 
 
@@ -556,11 +600,154 @@ def test_maxpool_bit_equal_to_reference_with_ties(dtype, shape, k):
 
 
 def test_maxpool_kernel_exact_on_integer_codes():
+    # the qint8 plan pools integer-valued float64 codes in NHWC layout
     from oodkit.network.quantize import _QMaxPool
     q = np.random.default_rng(32).integers(-128, 128, (2, 3, 9, 7))
-    want = RefMaxPool2D(2).forward(q)
-    got = _QMaxPool(2).run(q)
-    assert got.dtype == want.dtype and np.array_equal(got, want)
+    want = RefMaxPool2D(2).forward(q).transpose(0, 2, 3, 1)
+    got = _QMaxPool(2).run(q.transpose(0, 2, 3, 1).astype(np.float64))
+    assert got.dtype == np.float64 and np.array_equal(got, want)
+
+
+# ----------------------------------------------------------------------------
+# Reference integer plan: int64 codes in NCHW layout with int64 GEMMs, the
+# formulation the float64 NHWC plan must reproduce bit for bit.
+
+def ref_requantize(y, qp):
+    return np.clip(round_half_away(y / qp.scale) + qp.zero_point, -128, 127).astype(np.int64)
+
+
+class RefQConv:
+    def __init__(self, wq, w_scale, bias, stride, padding, in_qp, out_qp):
+        self.wq = wq.astype(np.int64)
+        self.w_scale = float(w_scale)
+        self.bias = bias.astype(np.float64)
+        self.stride = stride
+        self.padding = padding
+        self.in_qp = in_qp
+        self.out_qp = out_qp
+
+    def run(self, q):
+        s, p = self.stride, self.padding
+        xi = q - self.in_qp.zero_point
+        if p:
+            xi = np.pad(xi, ((0, 0), (0, 0), (p, p), (p, p)))
+        k = self.wq.shape[2]
+        win = sliding_window_view(xi, (k, k), axis=(2, 3))[:, :, ::s, ::s]
+        cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(
+            win.shape[0], win.shape[2], win.shape[3], -1).astype(np.int64)
+        acc = cols @ self.wq.reshape(self.wq.shape[0], -1).T
+        out = acc * (self.in_qp.scale * self.w_scale) + self.bias
+        return ref_requantize(np.ascontiguousarray(out.transpose(0, 3, 1, 2)), self.out_qp)
+
+
+class RefQDense:
+    def __init__(self, wq, w_scale, bias, in_qp, out_qp, emit_f32):
+        self.wq = wq.astype(np.int64)
+        self.w_scale = float(w_scale)
+        self.bias = bias.astype(np.float64)
+        self.in_qp = in_qp
+        self.out_qp = out_qp
+        self.emit_f32 = emit_f32
+
+    def run(self, q):
+        acc = (q - self.in_qp.zero_point).astype(np.int64) @ self.wq
+        out = acc * (self.in_qp.scale * self.w_scale) + self.bias
+        return out.astype(np.float32) if self.emit_f32 else ref_requantize(out, self.out_qp)
+
+
+class RefQPool:
+    def __init__(self, kernel):
+        self.pool = RefMaxPool2D(kernel)
+
+    def run(self, q):
+        return self.pool.forward(q)
+
+
+class RefQFlatten:
+    def run(self, q):
+        return q.reshape(q.shape[0], -1)
+
+
+class RefQuantizedEncoder:
+    """The int64 plan of a qint8 model, built from its tensors and sites."""
+
+    def __init__(self, qmodel):
+        from oodkit.network.quantize import _QRelu
+        spec, weights = qmodel.spec, qmodel.quant_weights
+        self.qps = {k: QuantParams(s, z) for k, (s, z) in qmodel.quant_sites.items()}
+        last_dense = max(i for i, ls in enumerate(spec.layers) if ls.kind == "dense")
+        self.ops = []
+        site = "input"
+        for i, ls in enumerate(spec.layers):
+            if ls.kind in ("conv2d", "dense"):
+                wt, bias = weights[f"enc.{i}.w"], weights[f"enc.{i}.b"].data
+                io = (self.qps[site], self.qps[f"out.{i}"])
+                self.ops.append(
+                    RefQConv(wt.data, wt.quant.scale, bias, ls.stride, ls.padding, *io)
+                    if ls.kind == "conv2d" else
+                    RefQDense(wt.data, wt.quant.scale, bias, *io, i == last_dense))
+                site = f"out.{i}"
+            elif ls.kind == "relu":
+                self.ops.append(_QRelu(self.qps[site].zero_point))
+            elif ls.kind == "maxpool2d":
+                self.ops.append(RefQPool(ls.kernel))
+            else:
+                self.ops.append(RefQFlatten())
+
+    def forward(self, xs):
+        q = ref_requantize(xs.astype(np.float64), self.qps["input"])
+        for op in self.ops:
+            q = op.run(q)
+        return q.astype(np.float32)
+
+
+def folded_flow_model(spec, seed):
+    """A random flow encoder whose batchnorms carry non-trivial statistics."""
+    model = random_model(spec, seed)
+    rng = np.random.default_rng(seed + 1)
+    for layer in model.encoder:
+        if isinstance(layer, BatchNorm2D):
+            c = layer.params["gamma"].shape[0]
+            layer.params["gamma"] = rng.uniform(0.5, 1.5, c).astype(np.float32)
+            layer.params["beta"] = rng.normal(0, 0.1, c).astype(np.float32)
+            layer.running_mean = rng.normal(0, 0.1, c).astype(np.float32)
+            layer.running_var = rng.uniform(0.5, 2.0, c).astype(np.float32)
+    return model
+
+
+def test_quantized_plan_rounds_ties_like_int64_reference():
+    # power-of-two scales put many requantized values exactly on a half
+    from oodkit.network.quantize import rebuild_quantized
+    spec = bvae_spec(12, 12, 1, n_latent=8)
+    rng = np.random.default_rng(42)
+    q = quantize_model(random_model(spec, 43), rng.uniform(0, 1, (16, 1, 12, 12)).astype(np.float32))
+    weights = {name: Tensor.qint8(t.data, QuantParams(2.0**-6, 0)) if t.quant
+               else Tensor.f32(np.round(t.data * 64) / 64) for name, t in q.quant_weights.items()}
+    sites = {name: (2.0**-3, zp) for name, (_, zp) in q.quant_sites.items()}
+    tied = rebuild_quantized(spec, weights, sites, {})
+    xs = (rng.integers(0, 32, (40, 1, 12, 12)) / 32).astype(np.float32)
+    want = RefQuantizedEncoder(tied).forward(xs)
+    assert np.array_equal(tied.quantized.forward(xs), want)
+
+
+@pytest.mark.parametrize("spec", [
+    bvae_spec(48, 48, 3, n_latent=16),   # default bvae
+    bvae_spec(12, 12, 1, n_latent=8),    # 12 px gray
+    bvae_spec(56, 56, 3, n_latent=8),    # 56 px GA winner geometry
+    of_encoder_spec(48, 64, 6),          # BN-folded flow encoder, K up to 400
+], ids=["bvae48", "bvae12gray", "bvae56", "flow"])
+def test_quantized_plan_bit_equal_to_int64_reference(spec):
+    model = folded_flow_model(spec, seed=40)
+    shape = (spec.in_channels,) + tuple(spec.input_hw)
+    rng = np.random.default_rng(41)
+    q = quantize_model(model, rng.uniform(0, 1, (16,) + shape).astype(np.float32))
+    xs = rng.uniform(0, 1, (120,) + shape).astype(np.float32)
+    for m in (q, load_model(save_model(q))):
+        ref = DetectorModel(m.spec, "qint8", [], quantized=RefQuantizedEncoder(m))
+        for batch in (xs[:1], xs[57:58], xs):
+            mu, var = m.encode_batch(batch)
+            mu_ref, var_ref = ref.encode_batch(batch)
+            assert np.array_equal(mu, mu_ref) and np.array_equal(var, var_ref)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
