@@ -271,14 +271,19 @@ def augment_snow(img: Image, strength: float, seed: int) -> Image:
     rng = np.random.default_rng(np.random.PCG64(seed))
     canvas = img.pixels.astype(np.float64).copy()
     h, w = canvas.shape[:2]
-    yy, xx = np.mgrid[0:h, 0:w]
     for _ in range(count):
         cx = rng.uniform(0, w)
         cy = rng.uniform(0, h)
         r = rng.uniform(0.8, 2.0)
         value = rng.uniform(225, 250)
+        # the disc's pixels all lie in its clipped bounding box
+        x0, x1 = max(int(np.floor(cx - r)), 0), min(int(np.ceil(cx + r)) + 1, w)
+        y0, y1 = max(int(np.floor(cy - r)), 0), min(int(np.ceil(cy + r)) + 1, h)
+        xx = np.arange(x0, x1)[None, :]
+        yy = np.arange(y0, y1)[:, None]
         mask = (xx - cx) ** 2 + (yy - cy) ** 2 <= r * r
-        canvas[mask] = (1 - 0.9) * canvas[mask] + 0.9 * value
+        box = canvas[y0:y1, x0:x1]
+        box[mask] = (1 - 0.9) * box[mask] + 0.9 * value
     return Image(_round_u8(canvas))
 
 

@@ -62,7 +62,9 @@ class Conv2D(Layer):
         out = cols @ w.reshape(w.shape[0], -1).T + b
         return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
+        """Parameter gradients, and the input gradient unless input_grad is
+        False (the first layer's input is the data: nothing reads it)."""
         w = _wide(self.params["w"])
         s, p = self.stride, self.padding
         xh = self._xh
@@ -75,16 +77,20 @@ class Conv2D(Layer):
         # ([1], [0])), so results equal that reference formulation bit for
         # bit: training amplifies any one-ulp difference into other weights.
         g_oc = grad.transpose(1, 0, 2, 3).reshape(oc, -1)  # (OC, N*OH*OW)
-        g_rows = grad.transpose(0, 2, 3, 1).reshape(-1, oc)  # (N*OH*OW, OC)
-        dxh = np.zeros_like(xh)
+        if input_grad:
+            g_rows = grad.transpose(0, 2, 3, 1).reshape(-1, oc)  # (N*OH*OW, OC)
+            dxh = np.zeros_like(xh)
         dw = np.zeros_like(w)
         for i in range(k):
             for j in range(k):
                 tap = (slice(None), slice(i, i + s * oh, s), slice(j, j + s * ow, s))
                 dw[:, :, i, j] = np.dot(g_oc, xh[tap].reshape(-1, c))
-                dxh[tap] += np.dot(g_rows, w[:, :, i, j]).reshape(n, oh, ow, c)
+                if input_grad:
+                    dxh[tap] += np.dot(g_rows, w[:, :, i, j]).reshape(n, oh, ow, c)
         self.grads["w"] = dw
         self.grads["b"] = grad.sum(axis=(0, 2, 3))
+        if not input_grad:
+            return None
         # NCHW memory, as later reductions over this gradient sum in memory order
         dx = np.ascontiguousarray(dxh.transpose(0, 3, 1, 2))
         if p:

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..tensor import F32
+from .layers import Conv2D
 from .model import (
     DetectorModel,
     ModelSpec,
@@ -68,8 +69,11 @@ def loss_and_grads(encoder, decoder, spec: ModelSpec, batch: np.ndarray, eps_noi
     dvar = dz * eps_noise * (0.5 / sigma) + spec.beta * 0.5 * (1.0 - 1.0 / var) / nb
     dh = dvar * variance_grad(h, spec.variance_parametrization)
     gt = np.concatenate([dmu, dh], axis=1)
-    for layer in reversed(encoder):
-        gt = layer.backward(gt)
+    for i, layer in reversed(list(enumerate(encoder))):
+        if i == 0 and isinstance(layer, Conv2D):
+            layer.backward(gt, input_grad=False)  # the data's gradient: nothing reads it
+        else:
+            gt = layer.backward(gt)
 
     grads = {}
     for prefix, group in (("enc", encoder), ("dec", decoder)):

@@ -5,6 +5,7 @@ motion-based detector."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -73,11 +74,22 @@ def _gray_f32(img: Image) -> np.ndarray:
             + LUMA_WEIGHTS[2] * p[:, :, 2]).astype(np.float32)
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@lru_cache(maxsize=128)
+def _edge_index(length: int, n: int) -> np.ndarray:
+    """Gather index that replicates the n border samples on each side."""
+    return _frozen(np.clip(np.arange(-n, length + n), 0, length - 1))
+
+
 def _correlate_axis(arr: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
-    n = len(kernel) // 2
-    pad = [(0, 0)] * arr.ndim
-    pad[axis] = (n, n)
-    win = sliding_window_view(np.pad(arr, pad, mode="edge"), len(kernel), axis=axis)
+    # the gather builds the same array as np.pad(mode="edge") without its
+    # per-call overhead, so the matmul sees identical operands
+    padded = np.take(arr, _edge_index(arr.shape[axis], len(kernel) // 2), axis=axis)
+    win = sliding_window_view(padded, len(kernel), axis=axis)
     return win @ kernel
 
 
@@ -124,6 +136,7 @@ def _poly_channels(f: np.ndarray, poly_n: int, poly_sigma: float):
 _BORDER_W = np.float32([0.14, 0.14, 0.4472, 0.4472, 0.4472])
 
 
+@lru_cache(maxsize=128)
 def _border_scale(h: int, w: int) -> np.ndarray:
     sx = np.ones(w, dtype=np.float32)
     sy = np.ones(h, dtype=np.float32)
@@ -134,7 +147,13 @@ def _border_scale(h: int, w: int) -> np.ndarray:
     for i in range(min(k, (h + 1) // 2)):
         sy[i] *= _BORDER_W[i]
         sy[h - 1 - i] *= _BORDER_W[i]
-    return sy[:, None] * sx[None, :]
+    return _frozen(sy[:, None] * sx[None, :])
+
+
+@lru_cache(maxsize=128)
+def _pixel_grid(h: int, w: int):
+    gy, gx = np.mgrid[0:h, 0:w]
+    return _frozen(gy), _frozen(gx)
 
 
 def _update_matrices(r0: np.ndarray, r1: np.ndarray, flow: np.ndarray) -> np.ndarray:
@@ -143,7 +162,7 @@ def _update_matrices(r0: np.ndarray, r1: np.ndarray, flow: np.ndarray) -> np.nda
     h, w = flow.shape[:2]
     u = flow[..., 0]
     v = flow[..., 1]
-    gy, gx = np.mgrid[0:h, 0:w]
+    gy, gx = _pixel_grid(h, w)
     fx = gx + u
     fy = gy + v
     x1 = np.floor(fx).astype(np.int64)
@@ -248,14 +267,22 @@ def _gaussian_blur(arr: np.ndarray, sigma: float, ksize: int) -> np.ndarray:
 _MIN_PYR_SIZE = 16
 
 
-def farneback_flow(prev: Image, next: Image, params: FarnebackParams = FarnebackParams()) -> FlowField:
-    """Coarse-to-fine dense flow from prev to next."""
-    if (prev.width, prev.height) != (next.width, next.height):
-        raise ValueError(
-            f"frame dimensions differ: {prev.width}x{prev.height} vs {next.width}x{next.height}")
-    img0 = _gray_f32(prev)
-    img1 = _gray_f32(next)
-    h, w = img0.shape
+@dataclass(frozen=True)
+class FlowPyramid:
+    """The per-frame half of Farneback flow: the read-only (H, W, 5)
+    coefficient planes of each pyramid level, coarsest first, with the frame
+    size and the parameters they were built with."""
+
+    planes: tuple
+    width: int
+    height: int
+    params: FarnebackParams
+
+
+def expand_frame(img: Image, params: FarnebackParams = FarnebackParams()) -> FlowPyramid:
+    """Gray conversion, Gaussian pyramid and polynomial expansion of one frame."""
+    gray = _gray_f32(img)
+    h, w = gray.shape
 
     levels = 0
     scale = 1.0
@@ -265,24 +292,46 @@ def farneback_flow(prev: Image, next: Image, params: FarnebackParams = Farneback
             break
         levels += 1
 
-    flow = None
+    planes = []
     for k in range(levels, -1, -1):
         s = params.pyramid_scale ** k
-        lw = max(int(round(w * s)), 1)
-        lh = max(int(round(h * s)), 1)
+        if k > 0:
+            lw = max(int(round(w * s)), 1)
+            lh = max(int(round(h * s)), 1)
+            sigma = (1.0 / s - 1.0) * 0.5
+            ksize = max(int(round(sigma * 5)) | 1, 3)
+            level = _resize_bilinear_f32(_gaussian_blur(gray, sigma, ksize), lh, lw)
+        else:
+            level = gray
+        planes.append(_frozen(_poly_channels(level, params.poly_n, params.poly_sigma)))
+    return FlowPyramid(tuple(planes), w, h, params)
+
+
+def _expanded(frame: Image | FlowPyramid, params: FarnebackParams) -> FlowPyramid:
+    if not isinstance(frame, FlowPyramid):
+        return expand_frame(frame, params)
+    if frame.params != params:
+        raise ValueError(f"pyramid built with {frame.params}, flow asked for {params}")
+    return frame
+
+
+def farneback_flow(prev: Image | FlowPyramid, next: Image | FlowPyramid,
+                   params: FarnebackParams = FarnebackParams()) -> FlowField:
+    """Coarse-to-fine dense flow from prev to next; either frame may come
+    already expanded by expand_frame with the same params."""
+    if (prev.width, prev.height) != (next.width, next.height):
+        raise ValueError(
+            f"frame dimensions differ: {prev.width}x{prev.height} vs {next.width}x{next.height}")
+    pyr0 = _expanded(prev, params)
+    pyr1 = _expanded(next, params)
+
+    flow = None
+    for r0, r1 in zip(pyr0.planes, pyr1.planes):
+        lh, lw = r0.shape[:2]
         if flow is None:
             flow = np.zeros((lh, lw, 2), dtype=np.float32)
         else:
             flow = _resize_bilinear_f32(flow, lh, lw) * (1.0 / params.pyramid_scale)
-        if k > 0:
-            sigma = (1.0 / s - 1.0) * 0.5
-            ksize = max(int(round(sigma * 5)) | 1, 3)
-            i0 = _resize_bilinear_f32(_gaussian_blur(img0, sigma, ksize), lh, lw)
-            i1 = _resize_bilinear_f32(_gaussian_blur(img1, sigma, ksize), lh, lw)
-        else:
-            i0, i1 = img0, img1
-        r0 = _poly_channels(i0, params.poly_n, params.poly_sigma)
-        r1 = _poly_channels(i1, params.poly_n, params.poly_sigma)
         m = _update_matrices(r0, r1, flow)
         for it in range(params.iterations):
             flow = _update_flow(m, params.window_size)

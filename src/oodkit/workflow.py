@@ -24,7 +24,7 @@ from .oodcore import (
     harmonic_fitness,
     score_frame,  # noqa: F401 - a hook point: tracers wrap workflow.score_frame
 )
-from .optflow import FarnebackParams, farneback_flow, stack_flows
+from .optflow import FarnebackParams, FlowPyramid, expand_frame, farneback_flow, stack_flows
 
 
 def preprocess_bvae(img: Image, genome: Genome) -> np.ndarray:
@@ -38,22 +38,24 @@ def preprocess_bvae(img: Image, genome: Genome) -> np.ndarray:
 
 @dataclass
 class FlowHistory:
-    """Streaming state of the flow frontend: previous frame and recent flows."""
+    """Streaming state of the flow frontend: the previous frame's expansion
+    and the recent flows."""
 
     depth: int
-    prev: Optional[Image] = None
+    prev: Optional[FlowPyramid] = None
     flows: deque = field(default_factory=deque)
 
 
 def of_preprocess_step(img: Image, genome: Genome, fb: FarnebackParams,
                        hist: FlowHistory):
-    """One frame through the flow frontend: resize, sharpen, dense flow
-    against the previous frame, then channel stacking. Returns (u_stack,
-    v_stack) or None while the history is warming up."""
+    """One frame through the flow frontend: resize, sharpen, polynomial
+    expansion (kept for the next pair), dense flow against the previous
+    frame, then channel stacking. Returns (u_stack, v_stack) or None while
+    the history is warming up."""
     h, w = genome.size
     frame = imaging.resize(img, w, h, genome.interpolation)
     frame = imaging.sharpen(frame)
-    frame = imaging.to_grayscale(frame)
+    frame = expand_frame(imaging.to_grayscale(frame), fb)
     if hist.prev is not None:
         flow = farneback_flow(hist.prev, frame, fb)
         hist.flows.append(flow)

@@ -12,6 +12,7 @@ from oodkit.imaging import (
     PnmMagicError,
     PnmTruncatedError,
     SceneParams,
+    _round_u8,
     adjust_brightness,
     augment_rain,
     augment_snow,
@@ -132,6 +133,42 @@ def test_augmentations_identity_and_determinism():
         assert fn(base, 0.0, 42) == base
         assert fn(base, 0.005, 42) == fn(base, 0.005, 42)
         assert fn(base, 0.005, 42) != fn(base, 0.005, 43)
+
+
+def full_frame_snow(img, strength, seed):
+    """Reference snow: every disc's mask evaluated over the whole frame."""
+    count = int(round(strength * img.width * img.height))
+    if count == 0:
+        return img
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    canvas = img.pixels.astype(np.float64).copy()
+    h, w = canvas.shape[:2]
+    yy, xx = np.mgrid[0:h, 0:w]
+    for _ in range(count):
+        cx = rng.uniform(0, w)
+        cy = rng.uniform(0, h)
+        r = rng.uniform(0.8, 2.0)
+        value = rng.uniform(225, 250)
+        mask = (xx - cx) ** 2 + (yy - cy) ** 2 <= r * r
+        canvas[mask] = (1 - 0.9) * canvas[mask] + 0.9 * value
+    return Image(_round_u8(canvas))
+
+
+def test_snow_matches_full_frame_reference():
+    rng = np.random.default_rng(17)
+    hit_border = 0
+    for _ in range(150):
+        h, w = (int(n) for n in rng.integers(4, 41, 2))
+        c = int(rng.choice([1, 3]))
+        img = Image(rng.integers(0, 256, (h, w, c)).astype(np.uint8))
+        strength = float(rng.uniform(0.0, 0.01)) if rng.random() < 0.8 else 0.01
+        seed = int(rng.integers(0, 2**31))
+        got, want = augment_snow(img, strength, seed), full_frame_snow(img, strength, seed)
+        assert np.array_equal(got.pixels, want.pixels), (h, w, c, strength, seed)
+        edge = np.zeros((h, w), bool)
+        edge[[0, -1], :] = edge[:, [0, -1]] = True
+        hit_border += bool(np.any(got.pixels != img.pixels, axis=2)[edge].any())
+    assert hit_border > 20  # discs clipped by the frame are covered
 
 
 def test_augmentation_strength_monotone():

@@ -201,6 +201,28 @@ def test_train_deterministic():
     assert a.metadata["loss_history"] == b.metadata["loss_history"]
 
 
+@pytest.mark.parametrize("spec", [bvae_spec(16, 16, 3, n_latent=4, beta=1e-3),
+                                  of_encoder_spec(24, 32, 3, n_latent=4, beta=1e-3)])
+def test_train_skipping_first_input_grad_is_exact(spec, monkeypatch):
+    """The first conv computes no input gradient in training; the weights
+    equal those of a run that computes that gradient and discards it."""
+    rng = np.random.default_rng(2)
+    data = [rng.random((spec.in_channels,) + spec.input_hw).astype(np.float32)
+            for _ in range(20)]
+    opts = TrainOpts(epochs=2, batch_size=8, seed=4)
+    skipped = train(spec, data, opts)
+    original = Conv2D.backward
+
+    def full_backward(self, grad, input_grad=True):
+        dx = original(self, grad)
+        return dx if input_grad else None
+    monkeypatch.setattr(Conv2D, "backward", full_backward)
+    full = train(spec, data, opts)
+    for a, b in zip(skipped.encoder, full.encoder):
+        for k in a.params:
+            assert np.array_equal(a.params[k], b.params[k]), k
+
+
 def test_train_rejects_empty_and_bad_geometry():
     with pytest.raises(ValueError):
         train(tiny_spec(), [], TrainOpts(epochs=1))

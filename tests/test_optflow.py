@@ -6,6 +6,7 @@ from oodkit.optflow import (
     FarnebackParams,
     FlowField,
     _poly_channels,
+    expand_frame,
     farneback_flow,
     stack_flows,
 )
@@ -124,6 +125,40 @@ def test_flow_dimension_mismatch():
     b = textured_frame(1, size=64)
     with pytest.raises(ValueError):
         farneback_flow(a, b)
+
+
+def test_flow_from_pyramids_equals_flow_from_images():
+    fb = FarnebackParams(pyramid_levels=3, iterations=2)
+    a = textured_frame(5, size=64, shift=0)
+    b = textured_frame(5, size=64, shift=2)
+    want = farneback_flow(a, b, fb)
+    pa, pb = expand_frame(a, fb), expand_frame(b, fb)
+    assert len(pa.planes) == 3 and (pa.width, pa.height) == (64, 64)
+    for prev, nxt in ((pa, pb), (a, pb), (pa, b)):
+        got = farneback_flow(prev, nxt, fb)
+        assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
+
+
+def test_pyramid_must_match_params_and_size():
+    fb = FarnebackParams(pyramid_levels=2)
+    a = textured_frame(2, size=32)
+    pa = expand_frame(a, fb)
+    with pytest.raises(ValueError, match="pyramid built with"):
+        farneback_flow(pa, a, FarnebackParams(pyramid_levels=2, poly_sigma=1.2))
+    with pytest.raises(ValueError, match="pyramid built with"):
+        farneback_flow(a, pa)  # default params differ from fb
+    with pytest.raises(ValueError, match="dimensions differ"):
+        farneback_flow(pa, expand_frame(textured_frame(2, size=48), fb), fb)
+    with pytest.raises(ValueError, match="dimensions differ"):
+        farneback_flow(textured_frame(2, size=48), pa, fb)
+
+
+def test_pyramid_is_read_only():
+    pa = expand_frame(textured_frame(4, size=32))
+    with pytest.raises(ValueError):
+        pa.planes[0][0, 0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        pa.planes = ()
 
 
 def make_flow(k, h=4, w=5):

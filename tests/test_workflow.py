@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from oodkit import imaging, workflow
+from oodkit.config import default_config
 from oodkit.dataset import (
     DatasetConfig,
     bvae_test_streams,
@@ -13,7 +15,7 @@ from oodkit.gasearch import Genome
 from oodkit.imaging import SceneParams
 from oodkit.network import TrainOpts
 from oodkit.oodcore import PostprocessConfig
-from oodkit.optflow import FarnebackParams
+from oodkit.optflow import FarnebackParams, farneback_flow, stack_flows
 from oodkit.workflow import (
     BvaeTrainContext,
     FlowHistory,
@@ -22,6 +24,7 @@ from oodkit.workflow import (
     bvae_fitness,
     evaluate_streams,
     flow_bundle_for_genome,
+    flow_stacks_for_sequences,
     of_preprocess_step,
     preprocess_bvae,
     score_stream,
@@ -132,6 +135,73 @@ def test_of_preprocess_warmup_contract():
     u, v = outs[3]
     assert u.shape == (3, 24, 32) and v.shape == (3, 24, 32)
     assert all(o is not None for o in outs[3:])
+
+
+def image_pair_stacks(genome, sequences, fb):
+    """Reference frontend: each flow from a pair of Images, so every frame
+    is expanded twice, once as next and once as prev."""
+    us, vs = [], []
+    h, w = genome.size
+    for seq in sequences:
+        frames = [imaging.to_grayscale(imaging.sharpen(
+            imaging.resize(img, w, h, genome.interpolation))) for img in seq]
+        flows = [farneback_flow(a, b, fb) for a, b in zip(frames, frames[1:])]
+        for i in range(genome.flow_depth, len(flows) + 1):
+            u, v = stack_flows(flows[:i], genome.flow_depth)
+            us.append(u)
+            vs.append(v)
+    return us, vs
+
+
+@pytest.mark.parametrize("genome,fb", [
+    (default_config("optflow").genome, default_config("optflow").farneback),
+    (Genome("optflow", (24, 32), "area", flow_depth=3), FarnebackParams(pyramid_levels=2)),
+])
+def test_flow_stacks_equal_image_pair_reference(genome, fb):
+    cfg = DatasetConfig(family="optflow", scenes=1, runs=4, frames_per_run=9,
+                        seed=4, scene=SceneParams(width=96, height=64, shift_per_frame=2))
+    rows, images = generate_dataset(cfg)
+    seqs = of_sequences(rows, images, "train")
+    got = flow_stacks_for_sequences(genome, seqs, fb)
+    want = image_pair_stacks(genome, seqs, fb)
+    assert len(got[0]) == len(want[0]) > 0
+    for g_list, w_list in zip(got, want):
+        for g, w in zip(g_list, w_list):
+            assert g.shape == (genome.flow_depth,) + genome.size
+            assert np.array_equal(g, w)
+
+
+def test_flow_hook_called_once_per_frame_pair(monkeypatch):
+    """Tracers time the per-pair flow by wrapping workflow.farneback_flow:
+    the set-up and the stream both go through it once per frame pair."""
+    cfg = DatasetConfig(family="optflow", scenes=2, runs=4, frames_per_run=7,
+                        seed=2, scene=SCENE)
+    rows, images = generate_dataset(cfg)
+    genome = Genome("optflow", (24, 32), "area", flow_depth=2)
+    fb = FarnebackParams(pyramid_levels=2)
+    calls = []
+    original = workflow.farneback_flow
+
+    def counted(prev, nxt, params):
+        calls.append(1)
+        return original(prev, nxt, params)
+    monkeypatch.setattr(workflow, "farneback_flow", counted)
+    for seq in of_sequences(rows, images, "train"):
+        calls.clear()
+        flow_stacks_for_sequences(genome, [seq], fb)
+        assert len(calls) == len(seq) - 1
+    ctx = FlowTrainContext(
+        train_sequences=of_sequences(rows, images, "train"),
+        calib_sequences=of_sequences(rows, images, "calib"),
+        test_streams=of_test_streams(rows, images),
+        opts=TrainOpts(epochs=1, batch_size=8, seed=0),
+        farneback=fb, n_latent=4, beta=1e-4)
+    bundle = flow_bundle_for_genome(genome, ctx)
+    frames = ctx.test_streams["id"][0]
+    calls.clear()
+    scores = score_stream(bundle, frames)
+    assert len(calls) == len(frames) - 1
+    assert len(scores) == len(frames) - genome.flow_depth
 
 
 def test_flow_bundle_and_scoring_small():
