@@ -73,28 +73,18 @@ def _config(args, run: Path) -> ExperimentConfig:
     elif stored.exists():
         cfg = load_config(stored)
     else:
-        cfg = default_config(getattr(args, "family", None) or BVAE)
+        cfg = default_config()
         save_config(cfg, stored)
     return cfg.validate()
 
 
-def _state(run: Path) -> dict:
-    p = run / "state.json"
-    return json.loads(p.read_text()) if p.exists() else {}
-
-
-def _save_state(run: Path, **updates):
-    state = _state(run)
-    state.update(updates)
-    (run / "state.json").write_text(json.dumps(state, indent=2, sort_keys=True) + "\n")
-
-
 def _postprocess(cfg: ExperimentConfig, run: Path) -> PostprocessConfig:
-    state = _state(run)
-    pp = cfg.postprocess
-    if "delta" in state:
-        pp = replace(pp, decay=float(state["delta"]))
-    return pp
+    """The config's post-processing, with the decay sweep-delta picked once
+    sweep/delta.json exists."""
+    sweep = run / "sweep" / "delta.json"
+    if not sweep.exists():
+        return cfg.postprocess
+    return replace(cfg.postprocess, decay=float(json.loads(sweep.read_text())["best_delta"]))
 
 
 def _dataset(run: Path):
@@ -190,7 +180,6 @@ def cmd_train(args):
         path.write_bytes(save_model(model))
         print(f"trained {genome.size[0]}x{genome.size[1]} encoder -> {path} "
               f"(final loss {model.metadata['loss_history'][-1]:.5f})")
-    _save_state(run, genome=genome.to_dict())
     return 0
 
 
@@ -280,7 +269,6 @@ def cmd_sweep_delta(args):
     (run / "sweep").mkdir(exist_ok=True)
     (run / "sweep" / "delta.json").write_text(json.dumps(
         {"best_delta": best, "table": table}, indent=2) + "\n")
-    _save_state(run, delta=best)
     for d, f in table:
         marker = " <- best" if d == best else ""
         print(f"delta={d:g}: fitness={f:.4f}{marker}")
@@ -347,10 +335,9 @@ def _bench_source(cfg, rows, images):
     return frames, labels
 
 
-def cmd_bench(args):
-    run = _run_dir(args)
-    cfg = _config(args, run)
-    rows, images = _dataset(run)
+def _bundles(run: Path, cfg: ExperimentConfig) -> dict:
+    """precision -> bundle for every configured precision whose artifacts
+    exist; says what it skips, and raises if nothing is left."""
     bundles = {}
     for precision in cfg.precisions:
         try:
@@ -359,6 +346,14 @@ def cmd_bench(args):
             print(f"skipping {precision}: {exc}", file=sys.stderr)
     if not bundles:
         raise FileNotFoundError("no bundles available; run train/calibrate/quantize")
+    return bundles
+
+
+def cmd_bench(args):
+    run = _run_dir(args)
+    cfg = _config(args, run)
+    rows, images = _dataset(run)
+    bundles = _bundles(run, cfg)
     frames, labels = _bench_source(cfg, rows, images)
     rows_out = bench_matrix(bundles, list(cfg.precisions), _executor_kinds(cfg),
                             frames, labels, cfg.bench)
@@ -384,11 +379,7 @@ def cmd_throughput(args):
     frames, _ = _bench_source(cfg, rows, images)
     lines = [["precision", "executor", "rate_fps", "sustained_fps", "backlog_slope",
               "sustained"]]
-    for precision in cfg.precisions:
-        try:
-            bundle = _load_bundle(run, cfg, precision)
-        except FileNotFoundError:
-            continue
+    for precision, bundle in _bundles(run, cfg).items():
         for kind in _executor_kinds(cfg):
             graph = build_graph(bundle)
             report = throughput_sweep(graph, kind, list(cfg.bench.throughput_rates),

@@ -23,6 +23,11 @@ OPTFLOW = "optflow"
 RGB = "rgb"
 GRAY = "gray"
 
+# what a candidate evaluation or a detector bench cell may raise on bad data,
+# numerics or I/O; a bug such as an AssertionError, TypeError or
+# AttributeError is not a measurement and propagates
+CELL_FAILURES = (ValueError, RuntimeError, ArithmeticError, OSError)
+
 
 @dataclass(frozen=True)
 class Genome:
@@ -167,7 +172,8 @@ def select(scored, rng: np.random.Generator, k: int = 2) -> Genome:
 
 class MemoizedEvaluator:
     """Wraps the expensive genome -> (fitness, per-factor AUROC) evaluation;
-    each distinct genome is evaluated at most once; failures score 0."""
+    each distinct genome is evaluated at most once; an evaluation that raises
+    one of CELL_FAILURES scores 0."""
 
     def __init__(self, fn: Callable):
         self.fn = fn
@@ -180,7 +186,7 @@ class MemoizedEvaluator:
             self.evaluations += 1
             try:
                 fitness, factors = self.fn(genome)
-            except Exception:
+            except CELL_FAILURES:
                 log.exception("fitness evaluation failed for %s; scoring 0", genome)
                 fitness, factors = 0.0, {}
             self.cache[genome] = (float(fitness), dict(factors))

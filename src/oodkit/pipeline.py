@@ -19,16 +19,16 @@ from __future__ import annotations
 
 import csv
 import io
-import os
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .oodcore import DetectorState, score_frame
+from .gasearch import CELL_FAILURES
+from .oodcore import DetectorState, auroc, score_frame
 from .workflow import (
     BvaeBundle,
     FlowBundle,
@@ -57,20 +57,15 @@ class ExecutorKind:
 
 @dataclass
 class Stage:
-    """One callback. Pure stages take fn(payload); stateful stages take
-    fn(payload, state) with per-run state from state_factory. Join stages
-    receive a tuple of payloads, one per incoming edge, and run in frame
-    order like stateful stages."""
+    """One callback. A stage with a state_factory is stateful: it takes
+    fn(payload, state) with per-run state from the factory; otherwise it
+    takes fn(payload). A stage with two or more incoming edges is a join: it
+    receives a tuple of payloads, one per edge. Stateful and join stages run
+    in frame order."""
 
     name: str
     fn: Callable
-    stateful: bool = False
     state_factory: Optional[Callable] = None
-    join: bool = False
-
-    def __post_init__(self):
-        if self.stateful and self.state_factory is None:
-            raise ValueError(f"stateful stage {self.name!r} needs a state_factory")
 
 
 class CallbackGraph:
@@ -95,9 +90,6 @@ class CallbackGraph:
         self.source = sources[0]
         self.sink = sinks[0]
         self._check_acyclic()
-        for s in self.stages:
-            if s.join and len(self.predecessors[s.name]) < 2:
-                raise ValueError(f"join stage {s.name!r} needs >= 2 inputs")
 
     def _check_acyclic(self):
         indeg = {n: len(self.predecessors[n]) for n in self.by_name}
@@ -122,7 +114,7 @@ class _Runner:
         self.stage = stage
         self.n_inputs = max(n_inputs, 1)
         self.state = stage.state_factory() if stage.state_factory else None
-        self.ordered = stage.stateful or stage.join or self.n_inputs > 1
+        self.ordered = stage.state_factory is not None or self.n_inputs > 1
         self.lock = threading.Lock()
         self.next_seq = 0
         self.parts = {}
@@ -139,7 +131,7 @@ class _Runner:
                 parts = self.parts.pop(self.next_seq)
                 args = tuple(parts[b] for b in range(self.n_inputs)) \
                     if self.n_inputs > 1 else parts[0]
-                if self.stage.stateful:
+                if self.stage.state_factory is not None:
                     out = self.stage.fn(args, self.state)
                 else:
                     out = self.stage.fn(args)
@@ -150,22 +142,34 @@ class _Runner:
 
 @dataclass
 class RunStats:
+    """Per-frame stamps of one executor run: ingress (admission) and done
+    (sink completion) in time.monotonic seconds, frames in sequence order."""
+
     scores: list
     ingress: np.ndarray
     done: np.ndarray
     pump_t0: float = 0.0
-    pump_t1: float = 0.0
-    backlog_samples: list = field(default_factory=list)
+
+    @property
+    def backlog_samples(self) -> list:
+        """(t, backlog) at each frame's admission: the frames admitted but not
+        yet completed at that moment, the admitted frame included."""
+        completed = np.sort(self.done)
+        # frames are admitted in sequence order, so seq + 1 have been admitted
+        in_flight = (np.arange(1, self.ingress.size + 1)
+                     - np.searchsorted(completed, self.ingress, side="right"))
+        return list(zip(self.ingress.tolist(), in_flight.tolist()))
 
 
 class _Run:
     """One run of a graph over n frames, shared by every dispatch policy: a
     runner and a FIFO of (seq, payload, branch) per stage, one route and one
-    failure path. Policies differ only in which thread takes from which FIFO;
-    a thread with nothing to take sleeps on the wake-up condition of the
-    stages it serves until route or the end of the run notifies it."""
+    failure path. Policies differ only in which thread takes from which FIFO:
+    served lists the stage groups that workers serve (None: no workers), and
+    each group gets one wake-up condition, on which a worker with nothing to
+    take sleeps until route or the end of the run notifies it."""
 
-    def __init__(self, graph: CallbackGraph, n: int, shared_wakeup=True):
+    def __init__(self, graph: CallbackGraph, n: int, served=None):
         self.order = [s.name for s in graph.stages]
         self.runners = {s.name: _Runner(s, len(graph.predecessors[s.name]))
                         for s in graph.stages}
@@ -177,10 +181,10 @@ class _Run:
         self.routes[None] = [(graph.source, 0)]
         self.pending = {name: deque() for name in self.order}
         self.lock = threading.Lock()
-        if shared_wakeup:
-            self.wakeup = dict.fromkeys(self.order, threading.Condition(self.lock))
-        else:
-            self.wakeup = {name: threading.Condition(self.lock) for name in self.order}
+        self.wakeup = {}
+        for names in set(map(tuple, served or ())):
+            cv = threading.Condition(self.lock)
+            self.wakeup.update(dict.fromkeys(names, cv))
         self.results = [None] * n
         self.done = np.zeros(n)
         self.n_done = 0
@@ -202,7 +206,8 @@ class _Run:
         with self.lock:
             for m, branch in succ:
                 self.pending[m].append((seq, out, branch))
-                self.wakeup[m].notify()
+                if m in self.wakeup:
+                    self.wakeup[m].notify()
 
     def fail(self, exc):
         with self.lock:
@@ -260,15 +265,15 @@ def _execute(graph: CallbackGraph, kind: ExecutorKind, source: dict) -> RunStats
     if n == 0:
         raise ValueError("empty frame source")
 
-    run = _Run(graph, n, shared_wakeup=kind.kind != CHAIN_MT)
+    order = [s.name for s in graph.stages]
     if kind.kind == CHAIN_MT:
-        served = [[name] for name in run.order]
+        served = [[name] for name in order]
     else:
-        served = [run.order] * (1 if kind.kind == MONO_ST else kind.workers)
+        served = [order] * (1 if kind.kind == MONO_ST else kind.workers)
+    run = _Run(graph, n, served)
     stats = RunStats(run.results, np.zeros(n), run.done)
     threads = [threading.Thread(target=run.serve, args=(names,), daemon=True)
                for names in served]
-    threads.append(threading.Thread(target=_watch_backlog, args=(stats, run), daemon=True))
     for t in threads:
         t.start()
 
@@ -283,7 +288,6 @@ def _execute(graph: CallbackGraph, kind: ExecutorKind, source: dict) -> RunStats
                 time.sleep(target - now)
         stats.ingress[seq] = time.monotonic()
         run.route(None, seq, frame)
-    stats.pump_t1 = time.monotonic()
 
     run.over.wait()
     for t in threads:
@@ -295,8 +299,8 @@ def _execute(graph: CallbackGraph, kind: ExecutorKind, source: dict) -> RunStats
 
 def run_in_order(graph: CallbackGraph, frames) -> list:
     """The graph run synchronously in the calling thread, each frame drained
-    through every stage before the next is fed: no threads or backlog
-    watcher. Returns the sink output of every frame in frame order."""
+    through every stage before the next is fed: no threads. Returns the sink
+    output of every frame in frame order."""
     frames = list(frames)
     run = _Run(graph, len(frames))
     for seq, frame in enumerate(frames):
@@ -306,13 +310,6 @@ def run_in_order(graph: CallbackGraph, frames) -> list:
         if run.errors:
             raise run.errors[0]
     return run.results
-
-
-def _watch_backlog(stats: RunStats, run: _Run):
-    while not run.over.is_set():
-        backlog = sum(len(q) for q in run.pending.values())
-        stats.backlog_samples.append((time.monotonic(), backlog))
-        run.over.wait(0.02)
 
 
 @dataclass(frozen=True)
@@ -331,7 +328,6 @@ class TimingReport:
     p95: float
     p99: float
     max: float
-    environment: dict
 
     @classmethod
     def from_samples(cls, rts: np.ndarray, warmup_discarded: int):
@@ -340,11 +336,9 @@ class TimingReport:
         if np.any(rts <= 0):
             raise ValueError("response times must be positive")
         q = np.percentile(rts, [25, 50, 75, 95, 99])
-        env = {"cpu_count": os.cpu_count(),
-               "note": "wall-clock on a shared host; absolute values are indicative"}
         return cls(rts, warmup_discarded, int(rts.size), float(rts.mean()),
                    float(rts.min()), float(q[0]), float(q[1]), float(q[2]),
-                   float(q[3]), float(q[4]), float(rts.max()), env)
+                   float(q[3]), float(q[4]), float(rts.max()))
 
 
 def run_stream(graph: CallbackGraph, kind: ExecutorKind, source, warmup: int = 20):
@@ -384,8 +378,8 @@ def throughput_sweep(graph: CallbackGraph, kind: ExecutorKind, rates,
                      duration_s: float, frame_factory) -> ThroughputReport:
     """Drive the graph at each offered rate for duration_s; sustained output
     is measured over the trailing half of the drive window, the backlog slope
-    over the drive window. Queues are unbounded, so overload shows up as
-    backlog growth."""
+    over the frames' admissions. Queues are unbounded, so overload shows up
+    as backlog growth."""
     rates = list(rates)
     if any(r <= 0 for r in rates) or sorted(rates) != rates:
         raise ValueError("rates must be positive and ascending")
@@ -400,13 +394,8 @@ def throughput_sweep(graph: CallbackGraph, kind: ExecutorKind, rates,
         t_half = 0.5 * (stats.pump_t0 + t_last)
         in_window = int(np.sum(stats.done > t_half))
         sustained = min(in_window / max(t_last - t_half, 1e-9), float(rate))
-        samples = [(t, b) for t, b in stats.backlog_samples if t <= stats.pump_t1]
-        if len(samples) >= 2:
-            ts = np.array([s[0] for s in samples])
-            bs = np.array([s[1] for s in samples])
-            slope = float(np.polyfit(ts - ts[0], bs, 1)[0])
-        else:
-            slope = 0.0
+        ts, bs = np.array(stats.backlog_samples, dtype=float).T
+        slope = float(np.polyfit(ts - ts[0], bs, 1)[0])
         ok = sustained >= 0.95 * rate and slope <= max(0.05 * rate, 1.0)
         entries.append(ThroughputEntry(float(rate), float(sustained), slope, bool(ok)))
     return ThroughputReport(tuple(entries))
@@ -432,7 +421,7 @@ def build_graph(bundle) -> CallbackGraph:
         stages = [
             Stage("preprocess", lambda img: preprocess_bvae(img, genome)),
             Stage("encode", model.encode),
-            Stage("postprocess", post_fn, stateful=True,
+            Stage("postprocess", post_fn,
                   state_factory=lambda: DetectorState(window=pp.window)),
         ]
         return CallbackGraph(stages, [("preprocess", "encode"), ("encode", "postprocess")])
@@ -454,14 +443,14 @@ def build_graph(bundle) -> CallbackGraph:
             return max(s_u, s_v)
 
         stages = [
-            Stage("preprocess", pre_fn, stateful=True,
+            Stage("preprocess", pre_fn,
                   state_factory=lambda: FlowHistory(depth=genome.flow_depth)),
             Stage("encoder_u",
                   lambda st: None if st is None else bundle.model_u.encode(st[0])),
             Stage("encoder_v",
                   lambda st: None if st is None else bundle.model_v.encode(st[1])),
-            Stage("join", lambda pair: pair, join=True),
-            Stage("postprocess", post_fn, stateful=True,
+            Stage("join", lambda pair: pair),
+            Stage("postprocess", post_fn,
                   state_factory=lambda: (DetectorState(window=pp.window),
                                          DetectorState(window=pp.window))),
         ]
@@ -491,18 +480,12 @@ class BenchConfig:
 
 
 def _stream_auroc(scores, labels):
-    from .oodcore import auroc
     pairs = [(s, l) for s, l in zip(scores, labels) if s is not None]
     ids = [s for s, l in pairs if not l]
     oods = [s for s, l in pairs if l]
     if not ids or not oods:
         return None
     return auroc(ids, oods)
-
-
-# what a detector cell may raise on bad data, numerics or I/O; a bug such as
-# an AssertionError, TypeError or AttributeError is not a measurement
-CELL_FAILURES = (ValueError, RuntimeError, ArithmeticError, OSError)
 
 
 def bench_matrix(bundles: dict, precisions, kinds, frames, labels,

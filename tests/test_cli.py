@@ -100,7 +100,10 @@ def test_sweep_delta_argmax_and_state(run_dir):
     assert table[best] == max(table.values())
     ties = [d for d, f in table.items() if f == table[best]]
     assert best == min(ties)
-    assert json.loads((run_dir / "state.json").read_text())["delta"] == best
+    # later phases score with the swept decay, read from sweep/delta.json
+    assert main(["--run-dir", str(run_dir), "evaluate", "--precision", "f32"]) == 0
+    assert json.loads((run_dir / "eval" / "evaluate_f32.json").read_text())["decay"] == best
+    assert not (run_dir / "state.json").exists()
 
 
 def test_quantize_and_tag_mismatch_detection(run_dir):
@@ -377,6 +380,30 @@ def test_bench_programming_error_propagates(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "error: executor invariant broken" in err and "cells failed" not in err
     assert not (run / "bench" / "bench.csv").exists()
+
+
+def test_ga_search_programming_error_fails_the_search(tmp_path, monkeypatch, capsys):
+    import oodkit.cli as cli
+
+    def buggy(genome, ctx):
+        raise AssertionError("training invariant broken")
+    run = _fresh_run(tmp_path, "ga_bug", FAST_CONFIG)
+    monkeypatch.setattr(cli, "bvae_fitness", buggy)
+    capsys.readouterr()
+    # a bug is not a candidate that scored 0: the search stops at the CLI boundary
+    assert main(["--run-dir", str(run), "ga-search", "--bucket", "S"]) == 2
+    assert "error: training invariant broken" in capsys.readouterr().err
+    assert not (run / "ga" / "S" / "best_genome.json").exists()
+
+
+def test_throughput_without_bundles_fails(tmp_path, capsys):
+    run = _fresh_run(tmp_path, "no_models", FAST_CONFIG)
+    capsys.readouterr()
+    assert main(["--run-dir", str(run), "throughput"]) == 2
+    err = capsys.readouterr().err
+    assert "skipping f32" in err and "skipping qint8" in err
+    assert "no bundles available" in err
+    assert not (run / "bench" / "throughput.csv").exists()
 
 
 def test_evaluate_refuses_stale_calibration(tmp_path, capsys):

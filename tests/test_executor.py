@@ -140,8 +140,8 @@ def _diamond(fail_at=None):
         return x + 100
     return CallbackGraph(
         [Stage("pre", lambda x: x), Stage("u", lambda x: x * 10), Stage("v", v),
-         Stage("j", lambda pair: pair[0] + pair[1], join=True),
-         Stage("post", lambda x, st: x, stateful=True, state_factory=dict)],
+         Stage("j", lambda pair: pair[0] + pair[1]),
+         Stage("post", lambda x, st: x, state_factory=dict)],
         [("pre", "u"), ("pre", "v"), ("u", "j"), ("v", "j"), ("j", "post")])
 
 
@@ -155,6 +155,22 @@ def test_failure_propagates_and_threads_end(at):
         with pytest.raises(RuntimeError, match="stage fault"):
             _execute(_diamond(at), kind, {"frames": list(range(40)), "rate_fps": None})
         assert threading.active_count() == before, kind
+
+
+@pytest.mark.parametrize("kind,groups", [(ExecutorKind(CHAIN_MT), 3), (ExecutorKind(MONO_ST), 1),
+                                         (ExecutorKind(MONO_MT, workers=3), 3)])
+def test_one_thread_per_served_group(kind, groups):
+    """An executor run starts one thread per served stage group and no other."""
+    before = threading.active_count()
+    seen = []
+
+    def stage(x):
+        seen.append(threading.active_count())
+        return x
+    graph = CallbackGraph([Stage("a", stage), Stage("b", stage), Stage("c", stage)],
+                          [("a", "b"), ("b", "c")])
+    _execute(graph, kind, {"frames": list(range(20)), "rate_fps": None})
+    assert len(seen) == 60 and set(seen) == {before + groups}
 
 
 def test_run_in_order_starts_no_thread():
