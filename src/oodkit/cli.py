@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -59,10 +61,16 @@ from .workflow import (
 )
 
 
-def _run_dir(args) -> Path:
-    run = Path(args.run_dir)
-    run.mkdir(parents=True, exist_ok=True)
-    return run
+def _write(path: Path, data) -> None:
+    """Write one artifact (str or bytes) through a sibling temporary file, so
+    a reader sees the previous file or the whole new one, never a torn one."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    if isinstance(data, str):
+        tmp.write_text(data)
+    else:
+        tmp.write_bytes(data)
+    os.replace(tmp, path)
 
 
 def _config(args, run: Path) -> ExperimentConfig:
@@ -116,10 +124,10 @@ def _load_models(run: Path, family: str, precision: str):
     return models, Genome.from_dict(models[0].metadata["genome"])
 
 
-def _load_bundle(run: Path, cfg: ExperimentConfig, precision: str):
-    models, genome = _load_models(run, cfg.family, precision)
+def _load_calibrations(run: Path, family: str, precision: str, models):
+    """The calibration of every branch, each checked to belong to its model."""
     calibs = []
-    for model, p in zip(models, _calib_paths(run, cfg.family, precision)):
+    for model, p in zip(models, _calib_paths(run, family, precision)):
         if not p.exists():
             raise FileNotFoundError(f"missing calibration {p}; run calibrate first")
         calib = CalibrationSet.from_csv(p.read_text())
@@ -129,6 +137,12 @@ def _load_bundle(run: Path, cfg: ExperimentConfig, precision: str):
                 f"{p} was calibrated for model checksum {calib.model_checksum!r}, "
                 f"the {precision} model has {checksum!r}; rerun calibrate")
         calibs.append(calib)
+    return calibs
+
+
+def _load_bundle(run: Path, cfg: ExperimentConfig, precision: str):
+    models, genome = _load_models(run, cfg.family, precision)
+    calibs = _load_calibrations(run, cfg.family, precision, models)
     pp = _postprocess(cfg, run)
     if cfg.family == BVAE:
         return BvaeBundle(genome, *models, *calibs, pp)
@@ -150,9 +164,7 @@ def _test_streams(cfg, rows, images):
 # ---------------------------------------------------------------------------
 # Subcommands
 
-def cmd_dataset_generate(args):
-    run = _run_dir(args)
-    cfg = _config(args, run)
+def cmd_dataset_generate(args, run, cfg):
     rows, images = generate_dataset(cfg.dataset)
     validate_manifest(rows)
     save_dataset(rows, images, run / "dataset")
@@ -168,16 +180,13 @@ def _genome_from_args(args, cfg) -> Genome:
     return cfg.genome
 
 
-def cmd_train(args):
-    run = _run_dir(args)
-    cfg = _config(args, run)
+def cmd_train(args, run, cfg):
     rows, images = _dataset(run)
     genome = _genome_from_args(args, cfg)
-    (run / "models").mkdir(exist_ok=True)
     models = train_encoders(genome, _encoder_inputs(cfg, genome, rows, images, "train"),
                             cfg.train, cfg.n_latent, cfg.beta, cfg.variance_parametrization)
     for model, path in zip(models, _model_paths(run, cfg.family, "f32")):
-        path.write_bytes(save_model(model))
+        _write(path, save_model(model))
         print(f"trained {genome.size[0]}x{genome.size[1]} encoder -> {path} "
               f"(final loss {model.metadata['loss_history'][-1]:.5f})")
     return 0
@@ -185,19 +194,16 @@ def cmd_train(args):
 
 def _calibrate(run, cfg, precision, models, inputs):
     """Write one calibration CSV per branch; returns the score counts."""
-    (run / "calib").mkdir(exist_ok=True)
     pp = _postprocess(cfg, run)
     counts = []
     for model, data, path in zip(models, inputs, _calib_paths(run, cfg.family, precision)):
         calib = build_calibration(model, data, pp, model_checksum(model))
-        path.write_text(calib.to_csv())
+        _write(path, calib.to_csv())
         counts.append(len(calib))
     return counts
 
 
-def cmd_calibrate(args):
-    run = _run_dir(args)
-    cfg = _config(args, run)
+def cmd_calibrate(args, run, cfg):
     rows, images = _dataset(run)
     models, genome = _load_models(run, cfg.family, args.precision)
     counts = _calibrate(run, cfg, args.precision, models,
@@ -206,42 +212,36 @@ def cmd_calibrate(args):
     return 0
 
 
-def cmd_quantize(args):
-    run = _run_dir(args)
-    cfg = _config(args, run)
+def cmd_quantize(args, run, cfg):
     rows, images = _dataset(run)
     models, genome = _load_models(run, cfg.family, "f32")
+    targets = [p for p in sorted(cfg.recalibrate) if p in cfg.precisions and p != "f32"]
+    # f32 scores reused for a derived precision must belong to these f32
+    # models; checked before anything is written
+    f32_calibs = (None if all(cfg.recalibrate[p] for p in targets)
+                  else _load_calibrations(run, cfg.family, "f32", models))
     inputs = _encoder_inputs(cfg, genome, rows, images, "calib")
-    for model, data, f32_path, q_path, h_path in zip(
-            models, inputs,
-            _model_paths(run, cfg.family, "f32"),
-            _model_paths(run, cfg.family, "qint8"),
-            _model_paths(run, cfg.family, "f16")):
-        q_path.write_bytes(save_model(quantize_model(model, data)))
-        h_path.write_bytes(save_model(cast_model_f16(model)))
-        print(f"{f32_path.name} -> {q_path.name}, {h_path.name}")
-    for precision, recal in sorted(cfg.recalibrate.items()):
-        if precision not in cfg.precisions or precision == "f32":
-            continue
-        derived, _ = _load_models(run, cfg.family, precision)
-        if recal:
-            counts = _calibrate(run, cfg, precision, derived, inputs)
+    derived = {"qint8": [quantize_model(m, data) for m, data in zip(models, inputs)],
+               "f16": [cast_model_f16(m) for m in models]}
+    for precision, ms in derived.items():
+        paths = _model_paths(run, cfg.family, precision)
+        for model, path in zip(ms, paths):
+            _write(path, save_model(model))
+        print(f"{precision} models: {', '.join(p.name for p in paths)}")
+    for precision in targets:
+        if cfg.recalibrate[precision]:
+            counts = _calibrate(run, cfg, precision, derived[precision], inputs)
             print(f"regenerated calibration for {precision}: {counts} scores")
         else:
-            for model, f32_c, target in zip(derived, _calib_paths(run, cfg.family, "f32"),
-                                            _calib_paths(run, cfg.family, precision)):
-                if not f32_c.exists():
-                    raise FileNotFoundError(f"missing {f32_c}; run calibrate first")
-                calib = CalibrationSet.from_csv(f32_c.read_text())
-                target.write_text(CalibrationSet(calib.scores, precision,
-                                                 model_checksum(model)).to_csv())
+            for model, calib, path in zip(derived[precision], f32_calibs,
+                                          _calib_paths(run, cfg.family, precision)):
+                _write(path, CalibrationSet(calib.scores, precision,
+                                            model_checksum(model)).to_csv())
             print(f"reused f32 calibration scores for {precision}")
     return 0
 
 
-def cmd_evaluate(args):
-    run = _run_dir(args)
-    cfg = _config(args, run)
+def cmd_evaluate(args, run, cfg):
     rows, images = _dataset(run)
     bundle = _load_bundle(run, cfg, args.precision)
     streams = _test_streams(cfg, rows, images)
@@ -250,38 +250,31 @@ def cmd_evaluate(args):
     out = {"precision": args.precision, "fitness": fitness,
            "per_factor_auroc": factor_auroc,
            "decay": bundle.postprocess.decay}
-    (run / "eval").mkdir(exist_ok=True)
-    (run / "eval" / f"evaluate_{args.precision}.json").write_text(
-        json.dumps(out, indent=2, sort_keys=True) + "\n")
+    _write(run / "eval" / f"evaluate_{args.precision}.json",
+           json.dumps(out, indent=2, sort_keys=True) + "\n")
     for k, v in sorted(factor_auroc.items()):
         print(f"auroc[{k}] = {v:.4f}")
     print(f"harmonic fitness = {fitness:.4f}")
     return 0
 
 
-def cmd_sweep_delta(args):
-    run = _run_dir(args)
-    cfg = _config(args, run)
+def cmd_sweep_delta(args, run, cfg):
     rows, images = _dataset(run)
     bundle = _load_bundle(run, cfg, args.precision)
     streams = _test_streams(cfg, rows, images)
     best, table = sweep_decay(bundle, streams, cfg.delta_grid)
-    (run / "sweep").mkdir(exist_ok=True)
-    (run / "sweep" / "delta.json").write_text(json.dumps(
-        {"best_delta": best, "table": table}, indent=2) + "\n")
+    _write(run / "sweep" / "delta.json",
+           json.dumps({"best_delta": best, "table": table}, indent=2) + "\n")
     for d, f in table:
         marker = " <- best" if d == best else ""
         print(f"delta={d:g}: fitness={f:.4f}{marker}")
     return 0
 
 
-def cmd_ga_search(args):
-    run = _run_dir(args)
-    cfg = _config(args, run)
+def cmd_ga_search(args, run, cfg):
     rows, images = _dataset(run)
     bucket = bucket_from_config(cfg, args.bucket)
     ga_dir = run / "ga" / args.bucket
-    ga_dir.mkdir(parents=True, exist_ok=True)
     opts = replace(cfg.train, epochs=cfg.ga.train_epochs)
     if cfg.family == BVAE:
         ctx = BvaeTrainContext(
@@ -307,13 +300,13 @@ def cmd_ga_search(args):
         print(f"resuming from checkpoint at generation {state['generation']}")
 
     def checkpoint(s):
-        ckpt_path.write_text(json.dumps(s) + "\n")
+        _write(ckpt_path, json.dumps(s) + "\n")
 
     best, history = run_ga(bucket, cfg.ga, evaluator, state=state, checkpoint=checkpoint)
-    (ga_dir / "history.csv").write_text(history.to_csv())
+    _write(ga_dir / "history.csv", history.to_csv())
     best_fitness = evaluator.cache[best][0]
-    (ga_dir / "best_genome.json").write_text(
-        json.dumps(dict(best.to_dict(), fitness=best_fitness), indent=2) + "\n")
+    _write(ga_dir / "best_genome.json",
+           json.dumps(dict(best.to_dict(), fitness=best_fitness), indent=2) + "\n")
     fresh = sum(1 for r in history.records if not r.cache_hit)
     print(f"bucket {args.bucket}: best {best.to_dict()} fitness={best_fitness:.4f} "
           f"({fresh} trainings, {len(history.records) - fresh} cache hits)")
@@ -349,16 +342,13 @@ def _bundles(run: Path, cfg: ExperimentConfig) -> dict:
     return bundles
 
 
-def cmd_bench(args):
-    run = _run_dir(args)
-    cfg = _config(args, run)
+def cmd_bench(args, run, cfg):
     rows, images = _dataset(run)
     bundles = _bundles(run, cfg)
     frames, labels = _bench_source(cfg, rows, images)
     rows_out = bench_matrix(bundles, list(cfg.precisions), _executor_kinds(cfg),
                             frames, labels, cfg.bench)
-    (run / "bench").mkdir(exist_ok=True)
-    (run / "bench" / "bench.csv").write_text(bench_rows_to_csv(rows_out))
+    _write(run / "bench" / "bench.csv", bench_rows_to_csv(rows_out))
     for r in rows_out:
         if "error" in r:
             print(f"{r['precision']}/{r['executor']}: FAILED {r['error']}")
@@ -372,9 +362,7 @@ def cmd_bench(args):
     return 0
 
 
-def cmd_throughput(args):
-    run = _run_dir(args)
-    cfg = _config(args, run)
+def cmd_throughput(args, run, cfg):
     rows, images = _dataset(run)
     frames, _ = _bench_source(cfg, rows, images)
     lines = [["precision", "executor", "rate_fps", "sustained_fps", "backlog_slope",
@@ -391,9 +379,9 @@ def cmd_throughput(args):
                               int(e.sustained)])
                 print(f"{precision}/{kind.kind}@{e.rate_fps:g}fps: "
                       f"sustained={e.sustained_fps:.1f} ({'ok' if e.sustained else 'backlog'})")
-    (run / "bench").mkdir(exist_ok=True)
-    with (run / "bench" / "throughput.csv").open("w", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(lines)
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(lines)
+    _write(run / "bench" / "throughput.csv", out.getvalue())
     return 0
 
 
@@ -403,9 +391,7 @@ RESPONSE_STATISTIC = "mean_ms"
 REPORT_LATENCY_STATS = (RESPONSE_STATISTIC, "p95_ms", "p99_ms")
 
 
-def cmd_report(args):
-    run = _run_dir(args)
-    cfg = _config(args, run)
+def cmd_report(args, run, cfg):
     req = cfg.requirements
     gaps = []
 
@@ -476,7 +462,7 @@ def cmd_report(args):
         "verdict": verdict,
         "gaps": gaps,
     }
-    (run / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write(run / "report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"verdict: {verdict}")
     for g in gaps:
         print(f"  gap: {g}")
@@ -534,7 +520,9 @@ COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return int(COMMANDS[args.command](args))
+        run = Path(args.run_dir)
+        run.mkdir(parents=True, exist_ok=True)
+        return int(COMMANDS[args.command](args, run, _config(args, run)))
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,7 +12,6 @@ from .model import (
     NEG_LOG_VAR,
     ReluSpec,
     VAR,
-    beta_vae_loss,
     bvae_spec,
     kl_standard_normal,
     of_encoder_spec,
@@ -32,7 +31,7 @@ from .train import TrainOpts, loss_and_grads, train
 __all__ = [
     "BatchNormSpec", "ConvSpec", "DenseSpec", "DetectorModel", "FlattenSpec",
     "LatentOutput", "LOG_VAR", "MaxPoolSpec", "ModelSpec", "NEG_LOG_VAR",
-    "ReluSpec", "VAR", "beta_vae_loss", "bvae_spec", "kl_standard_normal",
+    "ReluSpec", "VAR", "bvae_spec", "kl_standard_normal",
     "of_encoder_spec", "cast_model_f16", "fold_batchnorm", "quantize_model",
     "OodmChecksumError", "OodmError", "OodmMagicError",
     "OodmVersionError", "load_model", "model_checksum", "save_model",

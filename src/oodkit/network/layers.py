@@ -1,7 +1,7 @@
 """Runtime layers with forward and backward passes on (N, C, H, W) arrays.
 
-Parameters may be float32 (training/inference), float16 (storage precision,
-f32 accumulate), or float64 (gradient checking); compute follows the wider of
+Parameters are float32 (training/inference; an f16 model holds binary16-rounded
+float32 values) or float64 (gradient checking); compute follows the wider of
 input/parameter dtypes.
 
 forward(training=False) stores nothing on the layer, so one model can encode
@@ -13,11 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-
-
-def _wide(arr: np.ndarray) -> np.ndarray:
-    # f16 params are storage only; everything else computes as-is
-    return arr.astype(np.float32) if arr.dtype == np.float16 else arr
 
 
 class Layer:
@@ -49,8 +44,8 @@ class Conv2D(Layer):
         self.params = {"w": w, "b": np.zeros(out_channels, np.float32)}
 
     def forward(self, x, training=False):
-        w = _wide(self.params["w"])
-        b = _wide(self.params["b"])
+        w = self.params["w"]
+        b = self.params["b"]
         s, p = self.stride, self.padding
         if p:
             x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
@@ -65,7 +60,7 @@ class Conv2D(Layer):
     def backward(self, grad, input_grad=True):
         """Parameter gradients, and the input gradient unless input_grad is
         False (the first layer's input is the data: nothing reads it)."""
-        w = _wide(self.params["w"])
+        w = self.params["w"]
         s, p = self.stride, self.padding
         xh = self._xh
         n, c = xh.shape[0], xh.shape[3]
@@ -151,12 +146,12 @@ class Dense(Layer):
     def forward(self, x, training=False):
         if training:
             self._x = x
-        return x @ _wide(self.params["w"]) + _wide(self.params["b"])
+        return x @ self.params["w"] + self.params["b"]
 
     def backward(self, grad):
         self.grads["w"] = self._x.T @ grad
         self.grads["b"] = grad.sum(axis=0)
-        return grad @ _wide(self.params["w"]).T
+        return grad @ self.params["w"].T
 
 
 class ReLU(Layer):
@@ -180,8 +175,8 @@ class BatchNorm2D(Layer):
         self.running_var = np.ones(channels, np.float32)
 
     def forward(self, x, training=False):
-        gamma = _wide(self.params["gamma"])[None, :, None, None]
-        beta = _wide(self.params["beta"])[None, :, None, None]
+        gamma = self.params["gamma"][None, :, None, None]
+        beta = self.params["beta"][None, :, None, None]
         if training:
             mu = x.mean(axis=(0, 2, 3))
             var = x.var(axis=(0, 2, 3))
@@ -193,13 +188,13 @@ class BatchNorm2D(Layer):
             self._inv_std = 1.0 / np.sqrt(var + self.eps)
             self._xhat = (x - mu[None, :, None, None]) * self._inv_std[None, :, None, None]
             return gamma * self._xhat + beta
-        rm = _wide(self.running_mean)[None, :, None, None]
-        rv = _wide(self.running_var)[None, :, None, None]
+        rm = self.running_mean[None, :, None, None]
+        rv = self.running_var[None, :, None, None]
         scale = gamma / np.sqrt(rv + self.eps)
         return scale * (x - rm) + beta
 
     def backward(self, grad):
-        gamma = _wide(self.params["gamma"])
+        gamma = self.params["gamma"]
         m = float(grad.shape[0] * grad.shape[2] * grad.shape[3])
         self.grads["gamma"] = (grad * self._xhat).sum(axis=(0, 2, 3))
         self.grads["beta"] = grad.sum(axis=(0, 2, 3))

@@ -312,19 +312,6 @@ def kl_standard_normal(mu: np.ndarray, var: np.ndarray, axis=-1) -> np.ndarray:
     return 0.5 * np.sum(mu**2 + var - np.log(var) - 1.0, axis=axis)
 
 
-def beta_vae_loss(x: np.ndarray, x_hat: np.ndarray, latent: LatentOutput, beta: float):
-    """(total, recon, kl): recon is the per-pixel MSE, kl the diagonal-Gaussian
-    divergence from the standard normal (summed over dims, averaged over any
-    batch axis)."""
-    x = np.asarray(x)
-    x_hat = np.asarray(x_hat)
-    if x.shape != x_hat.shape:
-        raise ValueError(f"shape mismatch {x.shape} vs {x_hat.shape}")
-    recon = float(np.mean((x_hat - x) ** 2))
-    kl = float(np.mean(kl_standard_normal(latent.mu, latent.var)))
-    return recon + beta * kl, recon, kl
-
-
 # ----------------------------------------------------------------------------
 # Default desk-scale architectures
 

@@ -239,8 +239,14 @@ def rebuild_quantized(spec: ModelSpec, weights: dict, sites: dict, metadata: dic
     return qmodel
 
 
+def _binary16(arr: np.ndarray) -> np.ndarray:
+    return arr.astype(np.float16).astype(np.float32)
+
+
 def cast_model_f16(model: DetectorModel) -> DetectorModel:
-    """Store every parameter as binary16; inference accumulates in f32."""
+    """The f16 model: every parameter and batchnorm running statistic rounded
+    through binary16 and kept as float32. binary16 is only the model file's
+    storage precision, so the values save exactly and compute as f32."""
     if model.precision != F32:
         raise ValueError("f16 cast expects an f32 model")
     spec = model.spec
@@ -249,8 +255,8 @@ def cast_model_f16(model: DetectorModel) -> DetectorModel:
     for src_group, dst_group in ((model.encoder, enc), (model.decoder or [], dec or [])):
         for src, dst in zip(src_group, dst_group):
             for pname, arr in src.params.items():
-                dst.params[pname] = arr.astype(np.float16)
+                dst.params[pname] = _binary16(arr)
             if isinstance(src, L.BatchNorm2D):
-                dst.running_mean = src.running_mean.astype(np.float16)
-                dst.running_var = src.running_var.astype(np.float16)
+                dst.running_mean = _binary16(src.running_mean)
+                dst.running_var = _binary16(src.running_var)
     return DetectorModel(spec, F16, enc, dec, metadata=dict(model.metadata))

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
+from dataclasses import asdict
 
 import numpy as np
 
@@ -44,22 +45,9 @@ class OodmChecksumError(OodmError):
     pass
 
 
-_SPEC_KINDS = {
-    "conv2d": lambda d: ConvSpec(d["out_channels"], d["kernel"], d["stride"], d["padding"]),
-    "maxpool2d": lambda d: MaxPoolSpec(d["kernel"]),
-    "dense": lambda d: DenseSpec(d["out_dim"]),
-    "relu": lambda d: ReluSpec(),
-    "batchnorm2d": lambda d: BatchNormSpec(),
-    "flatten": lambda d: FlattenSpec(),
-}
-
-
-def _layer_to_json(ls):
-    d = {"kind": ls.kind}
-    for f in ("out_channels", "kernel", "stride", "padding", "out_dim"):
-        if hasattr(ls, f):
-            d[f] = getattr(ls, f)
-    return d
+# encoder layer records are their spec dataclasses' fields
+_SPEC_KINDS = {cls.kind: cls for cls in (ConvSpec, MaxPoolSpec, DenseSpec, ReluSpec,
+                                          BatchNormSpec, FlattenSpec)}
 
 
 def _spec_to_json(spec: ModelSpec):
@@ -69,17 +57,21 @@ def _spec_to_json(spec: ModelSpec):
         "n_latent": spec.n_latent,
         "beta": spec.beta,
         "variance_parametrization": spec.variance_parametrization,
-        "layers": [_layer_to_json(ls) for ls in spec.layers],
+        "layers": [asdict(ls) for ls in spec.layers],
     }
 
 
 def _spec_from_json(d) -> ModelSpec:
     layers = []
-    for ld in d["layers"]:
-        kind = ld["kind"]
+    for i, ld in enumerate(d["layers"]):
+        fields = dict(ld)
+        kind = fields.pop("kind", None)
         if kind not in _SPEC_KINDS:
-            raise OodmError(f"unknown layer kind {kind!r} in model header")
-        layers.append(_SPEC_KINDS[kind](ld))
+            raise OodmError(f"layer {i}: unknown layer kind {kind!r} in model header")
+        try:
+            layers.append(_SPEC_KINDS[kind](**fields))
+        except TypeError as exc:  # a missing or an unknown field
+            raise OodmError(f"layer {i}: bad {kind} record: {exc}") from exc
     return ModelSpec(tuple(d["input_hw"]), d["in_channels"], tuple(layers),
                      d["n_latent"], d["beta"], d["variance_parametrization"])
 
@@ -88,15 +80,7 @@ def _tensor_directory(model: DetectorModel):
     """(name, Tensor) pairs covering every stored array of the model."""
     if model.precision == QINT8:
         return sorted(model.quant_weights.items())
-    tag = F16 if model.precision == F16 else F32
-    out = []
-    for name, arr in model.named_params():
-        if arr.dtype == np.float16:
-            out.append((name, Tensor.f16(arr)))
-        else:
-            out.append((name, Tensor(np.asarray(arr, np.float32), F32)
-                        if tag == F32 else Tensor.f16(arr.astype(np.float16))))
-    return out
+    return [(name, Tensor(arr, model.precision)) for name, arr in model.named_params()]
 
 
 def save_model(model: DetectorModel) -> bytes:
@@ -214,12 +198,13 @@ def load_model(data: bytes) -> DetectorModel:
     decoder = build_decoder(spec) if header.get("has_decoder") else None
     model = DetectorModel(spec, precision, encoder, decoder, metadata=metadata)
     for name, arr in model.named_params():
-        stored = _stored(tensors, name, arr.shape).data
+        # f16 is a storage precision: in memory every float model is float32
+        stored = _stored(tensors, name, arr.shape).data.astype(np.float32)
         prefix, idx, pname = name.split(".")
         group = model.encoder if prefix == "enc" else model.decoder
         layer = group[int(idx)]
         if pname in ("running_mean", "running_var"):
-            setattr(layer, pname, stored.copy())
+            setattr(layer, pname, stored)
         else:
-            layer.params[pname] = stored.copy()
+            layer.params[pname] = stored
     return model

@@ -192,9 +192,9 @@ def train_bvae(genome: Genome, ctx: BvaeTrainContext) -> DetectorModel:
 
 
 def calibrate_bvae(model: DetectorModel, genome: Genome, calib_images,
-                   cfg: PostprocessConfig, checksum: str = "") -> CalibrationSet:
+                   cfg: PostprocessConfig) -> CalibrationSet:
     [data] = encoder_inputs(genome, calib_images)
-    return build_calibration(model, data, cfg, checksum)
+    return build_calibration(model, data, cfg)
 
 
 def bvae_bundle_for_genome(genome: Genome, ctx: BvaeTrainContext) -> BvaeBundle:

@@ -417,3 +417,41 @@ def test_evaluate_refuses_stale_calibration(tmp_path, capsys):
     capsys.readouterr()
     assert main(["--run-dir", str(run), "evaluate", "--precision", "f32"]) == 2
     assert "model checksum" in capsys.readouterr().err
+
+
+def test_quantize_refuses_stale_f32_calibration(tmp_path, capsys):
+    cfg = dict(FAST_CONFIG, precisions=["f32", "f16"])
+    run = _fresh_run(tmp_path, "stale_f16", cfg, ["train"], ["calibrate"], ["quantize"])
+    retrained = tmp_path / "retrained.json"
+    retrained.write_text(json.dumps(dict(cfg, train=dict(cfg["train"], seed=1))))
+    assert main(["--run-dir", str(run), "--config", str(retrained), "train"]) == 0
+    before = {p: p.read_bytes() for p in (run / "calib" / "main_f16.csv",
+                                          run / "models" / "main_f16.oodm")}
+    capsys.readouterr()
+    # the f32 scores belong to the old model: reusing them for f16 is refused
+    assert main(["--run-dir", str(run), "quantize"]) == 2
+    assert "model checksum" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in before} == before
+
+
+def test_ga_search_resumes_after_interrupted_checkpoint(tmp_path, monkeypatch):
+    from pathlib import Path
+
+    full = _fresh_run(tmp_path, "ga_full", FAST_CONFIG, ["ga-search", "--bucket", "S"])
+    run = _fresh_run(tmp_path, "ga_cut", FAST_CONFIG)
+    write_text = Path.write_text
+    writes = []
+
+    def torn(self, data, *args, **kwargs):
+        if "checkpoint" in self.name:
+            writes.append(self.name)
+            if len(writes) == 2:
+                write_text(self, data[:len(data) // 2], *args, **kwargs)
+                raise OSError("disk full")
+        return write_text(self, data, *args, **kwargs)
+    with monkeypatch.context() as m:
+        m.setattr(Path, "write_text", torn)
+        assert main(["--run-dir", str(run), "ga-search", "--bucket", "S"]) == 2
+    assert main(["--run-dir", str(run), "ga-search", "--bucket", "S"]) == 0
+    for name in ("history.csv", "best_genome.json"):
+        assert (run / "ga" / "S" / name).read_bytes() == (full / "ga" / "S" / name).read_bytes()

@@ -8,7 +8,6 @@ from oodkit.network import (
     VAR,
     ModelSpec,
     TrainOpts,
-    beta_vae_loss,
     bvae_spec,
     cast_model_f16,
     fold_batchnorm,
@@ -26,7 +25,6 @@ from oodkit.network.model import (
     DenseSpec,
     DetectorModel,
     FlattenSpec,
-    LatentOutput,
     MaxPoolSpec,
     ReluSpec,
     build_decoder,
@@ -157,21 +155,6 @@ def test_decoder_zero_weights_constant_output():
             layer.params[k] = np.zeros_like(layer.params[k])
     out = model.decode(np.float32([1.0, -2.0]))
     assert np.allclose(out, out.reshape(-1)[0])
-
-
-def test_beta_vae_loss_examples():
-    x = np.zeros((1, 4, 4), np.float32)
-    lat = LatentOutput(np.zeros(3), np.ones(3))
-    total, recon, kl = beta_vae_loss(x, x, lat, 2.0)
-    assert total == recon == kl == 0.0
-
-    lat1 = LatentOutput(np.float64([1.0]), np.float64([1.0]))
-    _, _, kl1 = beta_vae_loss(x, x, lat1, 1.0)
-    assert kl1 == pytest.approx(0.5)
-
-    t1, r1, _ = beta_vae_loss(x, x + 0.1, lat1, 1.0)
-    t2, r2, _ = beta_vae_loss(x, x + 0.1, lat1, 2.0)
-    assert (t2 - r2) == pytest.approx(2 * (t1 - r1))
 
 
 def train_images(n=20, seed=0):
@@ -348,7 +331,9 @@ def test_f16_cast_roundtrip_and_deviation():
     h = cast_model_f16(m)
     for la, lb in zip(m.encoder, h.encoder):
         for k in la.params:
-            assert lb.params[k].dtype == np.float16
+            # f16 is a storage precision: float32 values exact in binary16
+            assert lb.params[k].dtype == np.float32
+            assert np.array_equal(lb.params[k], lb.params[k].astype(np.float16))
             fine = np.abs(la.params[k]) > 1e-4
             rel = np.abs(la.params[k] - lb.params[k].astype(np.float32))[fine]
             if rel.size:
@@ -397,6 +382,17 @@ def test_save_load_errors():
         load_model(bytes(corrupted))
     bad = edit_header(raw, lambda h: h["spec"]["layers"][0].update(kind="mystery"))
     with pytest.raises(OodmError, match="mystery"):
+        load_model(bad)
+
+
+@pytest.mark.parametrize("edit", [lambda layer: layer.pop("kernel"),
+                                  lambda layer: layer.update(dilation=2)],
+                         ids=["missing_field", "unknown_field"])
+def test_load_refuses_malformed_layer_record(edit):
+    raw = save_model(trained_tiny())
+    assert load_model(raw).spec.layers[0].kind == "conv2d"
+    bad = edit_header(raw, lambda h: edit(h["spec"]["layers"][0]))
+    with pytest.raises(OodmError, match="layer 0"):
         load_model(bad)
 
 
