@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -36,6 +35,7 @@ from .dataset import (
     split_images,
     validate_manifest,
 )
+from .fileio import write_atomic
 from .gasearch import BVAE, Genome, MemoizedEvaluator, OPTFLOW, run_ga
 from .network import cast_model_f16, load_model, model_checksum, quantize_model, save_model
 from .oodcore import CalibrationMismatchError, CalibrationSet, PostprocessConfig, build_calibration
@@ -59,18 +59,6 @@ from .workflow import (
     sweep_decay,
     train_encoders,
 )
-
-
-def _write(path: Path, data) -> None:
-    """Write one artifact (str or bytes) through a sibling temporary file, so
-    a reader sees the previous file or the whole new one, never a torn one."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    if isinstance(data, str):
-        tmp.write_text(data)
-    else:
-        tmp.write_bytes(data)
-    os.replace(tmp, path)
 
 
 def _config(args, run: Path) -> ExperimentConfig:
@@ -186,7 +174,7 @@ def cmd_train(args, run, cfg):
     models = train_encoders(genome, _encoder_inputs(cfg, genome, rows, images, "train"),
                             cfg.train, cfg.n_latent, cfg.beta, cfg.variance_parametrization)
     for model, path in zip(models, _model_paths(run, cfg.family, "f32")):
-        _write(path, save_model(model))
+        write_atomic(path, save_model(model))
         print(f"trained {genome.size[0]}x{genome.size[1]} encoder -> {path} "
               f"(final loss {model.metadata['loss_history'][-1]:.5f})")
     return 0
@@ -198,7 +186,7 @@ def _calibrate(run, cfg, precision, models, inputs):
     counts = []
     for model, data, path in zip(models, inputs, _calib_paths(run, cfg.family, precision)):
         calib = build_calibration(model, data, pp, model_checksum(model))
-        _write(path, calib.to_csv())
+        write_atomic(path, calib.to_csv())
         counts.append(len(calib))
     return counts
 
@@ -215,18 +203,19 @@ def cmd_calibrate(args, run, cfg):
 def cmd_quantize(args, run, cfg):
     rows, images = _dataset(run)
     models, genome = _load_models(run, cfg.family, "f32")
-    targets = [p for p in sorted(cfg.recalibrate) if p in cfg.precisions and p != "f32"]
+    listed = [p for p in cfg.precisions if p != "f32"]
+    targets = [p for p in sorted(cfg.recalibrate) if p in listed]
     # f32 scores reused for a derived precision must belong to these f32
     # models; checked before anything is written
     f32_calibs = (None if all(cfg.recalibrate[p] for p in targets)
                   else _load_calibrations(run, cfg.family, "f32", models))
     inputs = _encoder_inputs(cfg, genome, rows, images, "calib")
-    derived = {"qint8": [quantize_model(m, data) for m, data in zip(models, inputs)],
-               "f16": [cast_model_f16(m) for m in models]}
+    derive = {"qint8": quantize_model, "f16": lambda model, data: cast_model_f16(model)}
+    derived = {p: [derive[p](m, data) for m, data in zip(models, inputs)] for p in listed}
     for precision, ms in derived.items():
         paths = _model_paths(run, cfg.family, precision)
         for model, path in zip(ms, paths):
-            _write(path, save_model(model))
+            write_atomic(path, save_model(model))
         print(f"{precision} models: {', '.join(p.name for p in paths)}")
     for precision in targets:
         if cfg.recalibrate[precision]:
@@ -235,8 +224,8 @@ def cmd_quantize(args, run, cfg):
         else:
             for model, calib, path in zip(derived[precision], f32_calibs,
                                           _calib_paths(run, cfg.family, precision)):
-                _write(path, CalibrationSet(calib.scores, precision,
-                                            model_checksum(model)).to_csv())
+                write_atomic(path, CalibrationSet(calib.scores, precision,
+                                                  model_checksum(model)).to_csv())
             print(f"reused f32 calibration scores for {precision}")
     return 0
 
@@ -250,8 +239,8 @@ def cmd_evaluate(args, run, cfg):
     out = {"precision": args.precision, "fitness": fitness,
            "per_factor_auroc": factor_auroc,
            "decay": bundle.postprocess.decay}
-    _write(run / "eval" / f"evaluate_{args.precision}.json",
-           json.dumps(out, indent=2, sort_keys=True) + "\n")
+    write_atomic(run / "eval" / f"evaluate_{args.precision}.json",
+                 json.dumps(out, indent=2, sort_keys=True) + "\n")
     for k, v in sorted(factor_auroc.items()):
         print(f"auroc[{k}] = {v:.4f}")
     print(f"harmonic fitness = {fitness:.4f}")
@@ -263,8 +252,8 @@ def cmd_sweep_delta(args, run, cfg):
     bundle = _load_bundle(run, cfg, args.precision)
     streams = _test_streams(cfg, rows, images)
     best, table = sweep_decay(bundle, streams, cfg.delta_grid)
-    _write(run / "sweep" / "delta.json",
-           json.dumps({"best_delta": best, "table": table}, indent=2) + "\n")
+    write_atomic(run / "sweep" / "delta.json",
+                 json.dumps({"best_delta": best, "table": table}, indent=2) + "\n")
     for d, f in table:
         marker = " <- best" if d == best else ""
         print(f"delta={d:g}: fitness={f:.4f}{marker}")
@@ -300,13 +289,13 @@ def cmd_ga_search(args, run, cfg):
         print(f"resuming from checkpoint at generation {state['generation']}")
 
     def checkpoint(s):
-        _write(ckpt_path, json.dumps(s) + "\n")
+        write_atomic(ckpt_path, json.dumps(s) + "\n")
 
     best, history = run_ga(bucket, cfg.ga, evaluator, state=state, checkpoint=checkpoint)
-    _write(ga_dir / "history.csv", history.to_csv())
+    write_atomic(ga_dir / "history.csv", history.to_csv())
     best_fitness = evaluator.cache[best][0]
-    _write(ga_dir / "best_genome.json",
-           json.dumps(dict(best.to_dict(), fitness=best_fitness), indent=2) + "\n")
+    write_atomic(ga_dir / "best_genome.json",
+                 json.dumps(dict(best.to_dict(), fitness=best_fitness), indent=2) + "\n")
     fresh = sum(1 for r in history.records if not r.cache_hit)
     print(f"bucket {args.bucket}: best {best.to_dict()} fitness={best_fitness:.4f} "
           f"({fresh} trainings, {len(history.records) - fresh} cache hits)")
@@ -348,7 +337,7 @@ def cmd_bench(args, run, cfg):
     frames, labels = _bench_source(cfg, rows, images)
     rows_out = bench_matrix(bundles, list(cfg.precisions), _executor_kinds(cfg),
                             frames, labels, cfg.bench)
-    _write(run / "bench" / "bench.csv", bench_rows_to_csv(rows_out))
+    write_atomic(run / "bench" / "bench.csv", bench_rows_to_csv(rows_out))
     for r in rows_out:
         if "error" in r:
             print(f"{r['precision']}/{r['executor']}: FAILED {r['error']}")
@@ -381,7 +370,7 @@ def cmd_throughput(args, run, cfg):
                       f"sustained={e.sustained_fps:.1f} ({'ok' if e.sustained else 'backlog'})")
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows(lines)
-    _write(run / "bench" / "throughput.csv", out.getvalue())
+    write_atomic(run / "bench" / "throughput.csv", out.getvalue())
     return 0
 
 
@@ -462,7 +451,7 @@ def cmd_report(args, run, cfg):
         "verdict": verdict,
         "gaps": gaps,
     }
-    _write(run / "report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
+    write_atomic(run / "report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"verdict: {verdict}")
     for g in gaps:
         print(f"  gap: {g}")
@@ -496,7 +485,7 @@ def build_parser():
     p = sub.add_parser("sweep-delta", help="pick the CUSUM decay by parameter sweep")
     p.add_argument("--precision", default="f32", choices=PRECISIONS)
 
-    sub.add_parser("quantize", help="phase 3: derive qint8 and f16 models")
+    sub.add_parser("quantize", help="phase 3: derive the listed qint8 and f16 models")
     sub.add_parser("bench", help="phase 4: response-time matrix over executors")
     sub.add_parser("throughput", help="phase 4: sustained-throughput sweep")
     sub.add_parser("report", help="verdict against the requirements")

@@ -8,6 +8,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .dataset import DatasetConfig, FactorRanges
+from .fileio import write_atomic
 from .gasearch import BVAE, OPTFLOW, GAConfig, Genome
 from .imaging import SceneParams
 from .network import TrainOpts
@@ -169,7 +170,7 @@ def load_config(path) -> ExperimentConfig:
 
 
 def save_config(cfg: ExperimentConfig, path):
-    Path(path).write_text(json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n")
+    write_atomic(path, json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n")
 
 
 def bucket_from_config(cfg: ExperimentConfig, name: str):

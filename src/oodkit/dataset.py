@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .fileio import write_atomic
 from .gasearch import BVAE, OPTFLOW
 from .imaging import (
     Image,
@@ -206,13 +207,14 @@ def validate_manifest(rows):
 
 
 def save_dataset(rows, images, out_dir):
+    """Write the images, then the manifest that lists them. Any old manifest
+    goes first: an interrupted write leaves no dataset, never a short or a
+    stale one."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "manifest.jsonl").unlink(missing_ok=True)
     for path, img in images.items():
-        (out_dir / path).write_bytes(encode_pnm(img))
-    with open(out_dir / "manifest.jsonl", "w") as fh:
-        for row in rows:
-            fh.write(row.to_json() + "\n")
+        write_atomic(out_dir / path, encode_pnm(img))
+    write_atomic(out_dir / "manifest.jsonl", "".join(row.to_json() + "\n" for row in rows))
 
 
 def load_dataset(out_dir):

@@ -11,6 +11,8 @@ backward needs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -30,6 +32,32 @@ class Layer:
         raise NotImplementedError
 
 
+# A convolution builds its im2col columns (Chellapilla et al. 2006) and runs
+# its GEMM one block of samples at a time, so the GEMM reads each block's
+# columns while they are still in a core's L2 cache. About 1 MB leaves room,
+# in a 2 MB L2, for the block's output and BLAS's packed operands; a whole
+# batch's columns (21 MB for the 48x48 16->3 decoder conv at batch 16) would
+# make the copy and the GEMM each stream them through memory.
+CONV_BLOCK_BYTES = 1 << 20
+TAP_FILL_MAX_KERNEL = 3
+
+
+def column_blocks(n, row_shape, dtype):
+    """Walk n samples in blocks whose columns take about CONV_BLOCK_BYTES, at
+    least one sample each. Yields (samples, cols): a slice of the sample axis
+    and an uninitialised C-contiguous (block, *row_shape) buffer that the next
+    block reuses.
+
+    Blocking is exact: numpy's matmul of an (N, OH, OW, K) stack by a (K, OC)
+    matrix runs one GEMM per (sample, output row), so a block hands BLAS the
+    same operands as the whole batch."""
+    per = max(1, CONV_BLOCK_BYTES // (math.prod(row_shape) * np.dtype(dtype).itemsize))
+    buf = np.empty((min(per, n),) + tuple(row_shape), dtype)
+    for start in range(0, n, per):
+        stop = min(start + per, n)
+        yield slice(start, stop), buf[:stop - start]
+
+
 class Conv2D(Layer):
     def __init__(self, in_channels, out_channels, kernel, stride=1, padding=0, rng=None):
         super().__init__()
@@ -47,15 +75,34 @@ class Conv2D(Layer):
         w = self.params["w"]
         b = self.params["b"]
         s, p = self.stride, self.padding
-        if p:
-            x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+        n, c, h, wd = x.shape
+        oc, _, k, _ = w.shape
+        oh = (h + 2 * p - k) // s + 1
+        ow = (wd + 2 * p - k) // s + 1
+        xh = np.zeros((n, h + 2 * p, wd + 2 * p, c), x.dtype)  # padded input, NHWC
+        xh[:, p:p + h, p:p + wd] = x.transpose(0, 2, 3, 1)
         if training:
-            self._xh = np.ascontiguousarray(x.transpose(0, 2, 3, 1))  # padded input, NHWC
-        k = w.shape[2]
-        win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::s, ::s]  # (N,C,OH,OW,k,k)
-        cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(win.shape[0], win.shape[2], win.shape[3], -1)
-        out = cols @ w.reshape(w.shape[0], -1).T + b
-        return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+            self._xh = xh
+        # Columns in (C, kh, kw) order, the order of w.reshape(oc, -1). A
+        # kernel of at most TAP_FILL_MAX_KERNEL is filled tap by tap: k*k
+        # strided passes over the block, each copying runs of C (OW*C at
+        # stride 1) contiguous NHWC values. A larger kernel's k*k passes cost
+        # more than one sliding-window copy in runs of k values.
+        tap_fill = k <= TAP_FILL_MAX_KERNEL
+        if not tap_fill:
+            win = sliding_window_view(xh, (k, k), axis=(1, 2))[:, ::s, ::s]  # (N,OH,OW,C,k,k)
+        wmat = w.reshape(oc, -1).T
+        out = np.empty((n, oc, oh, ow), np.result_type(x, w, b))
+        for blk, cols in column_blocks(n, (oh, ow, c * k * k), x.dtype):
+            taps = cols.reshape(cols.shape[:3] + (c, k, k))
+            if tap_fill:
+                for i in range(k):
+                    for j in range(k):
+                        taps[..., i, j] = xh[blk, i:i + s * oh:s, j:j + s * ow:s]
+            else:
+                taps[...] = win[blk]
+            np.add(cols @ wmat, b, out=out[blk].transpose(0, 2, 3, 1))
+        return out
 
     def backward(self, grad, input_grad=True):
         """Parameter gradients, and the input gradient unless input_grad is

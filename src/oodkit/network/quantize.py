@@ -73,7 +73,7 @@ class _QConv:
     def __init__(self, wq, w_scale, bias, stride, padding, in_qp, out_qp):
         self.kernel = wq.shape[2]
         # (k*k*C, OC), rows in (kh, kw, C) order: the columns then copy runs of
-        # C contiguous NHWC codes, faster than the (C, kh, kw) order
+        # k*C contiguous NHWC codes, faster than the (C, kh, kw) order
         self.wmat = np.ascontiguousarray(
             wq.transpose(2, 3, 1, 0).reshape(-1, wq.shape[0]), dtype=np.float64)
         self.scale = in_qp.scale * float(w_scale)
@@ -85,14 +85,22 @@ class _QConv:
 
     def run(self, q):
         s, p, k = self.stride, self.padding, self.kernel
-        xi = q - self.in_qp.zero_point  # zero pad in real domain == pad codes with zp
-        if p:
-            xi = np.pad(xi, ((0, 0), (p, p), (p, p), (0, 0)))
-        win = sliding_window_view(xi, (k, k), axis=(1, 2))[:, ::s, ::s]  # (N, OH, OW, C, kh, kw)
-        y = win.transpose(0, 1, 2, 4, 5, 3).reshape(win.shape[:3] + (-1,)) @ self.wmat
-        y *= self.scale
-        y += self.bias
-        return _requantize(y, self.out_qp)
+        n, h, w, c = q.shape
+        oh = (h + 2 * p - k) // s + 1
+        ow = (w + 2 * p - k) // s + 1
+        xi = np.zeros((n, h + 2 * p, w + 2 * p, c))  # zero pad in real domain == pad codes with zp
+        np.subtract(q, self.in_qp.zero_point, out=xi[:, p:p + h, p:p + w])
+        win = sliding_window_view(xi, (k, k), axis=(1, 2))[:, ::s, ::s].transpose(
+            0, 1, 2, 4, 5, 3)  # (N, OH, OW, kh, kw, C)
+        out = np.empty((n, oh, ow, self.wmat.shape[1]))
+        # the GEMM and the elementwise passes run on each block while it is in cache
+        for blk, cols in L.column_blocks(n, (oh, ow, k * k * c), np.float64):
+            cols.reshape(cols.shape[:3] + (k, k, c))[...] = win[blk]
+            y = np.matmul(cols, self.wmat, out=out[blk])
+            y *= self.scale
+            y += self.bias
+            _requantize(y, self.out_qp)
+        return out
 
 
 class _QDense:
@@ -120,7 +128,8 @@ class _QRelu:
     def run(self, q):
         if q.dtype == np.float32:  # head activation after the final dense
             return np.maximum(q, 0.0)
-        return np.maximum(q, self.zero_point)
+        # in place: q is the previous op's output, which nothing else reads
+        return np.maximum(q, self.zero_point, out=q)
 
 
 class _QMaxPool:

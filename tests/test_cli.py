@@ -108,6 +108,7 @@ def test_sweep_delta_argmax_and_state(run_dir):
 
 def test_quantize_and_tag_mismatch_detection(run_dir):
     assert (run_dir / "models" / "main_qint8.oodm").exists()
+    assert not (run_dir / "models" / "main_f16.oodm").exists()  # f16 is not listed
     assert (run_dir / "calib" / "main_qint8.csv").exists()
     # calibration regenerated for qint8 differs from the f32 set
     f32_scores = (run_dir / "calib" / "main_f32.csv").read_text().splitlines()[2:]
@@ -266,6 +267,7 @@ def test_optflow_family_cli(tmp_path):
     assert main(["--run-dir", r, "quantize"]) == 0
     assert (run / "calib" / "main_u_qint8.csv").exists()
     assert (run / "calib" / "main_v_qint8.csv").exists()
+    assert not list((run / "models").glob("*_f16.oodm"))
     assert main(["--run-dir", r, "evaluate", "--precision", "qint8"]) == 0
     assert main(["--run-dir", r, "bench"]) == 0
     bench = (run / "bench" / "bench.csv").read_text()
@@ -409,6 +411,7 @@ def test_throughput_without_bundles_fails(tmp_path, capsys):
 def test_evaluate_refuses_stale_calibration(tmp_path, capsys):
     cfg = dict(FAST_CONFIG, precisions=["f32", "f16"])
     run = _fresh_run(tmp_path, "stale", cfg, ["train"], ["calibrate"], ["quantize"])
+    assert not (run / "models" / "main_qint8.oodm").exists()  # qint8 is not listed
     # the reused f32 scores carry the checksum of the f16 model they now serve
     assert main(["--run-dir", str(run), "evaluate", "--precision", "f16"]) == 0
     retrained = tmp_path / "retrained.json"

@@ -87,6 +87,26 @@ def test_save_load_roundtrip(tmp_path):
         assert images[path] == images2[path]
 
 
+def test_interrupted_save_leaves_no_dataset(tmp_path, monkeypatch):
+    """A save killed mid-images leaves no manifest, neither a short one nor
+    the previous one, so the directory never loads as a smaller dataset."""
+    import oodkit.dataset as ds
+    rows, images = generate_dataset(bvae_cfg())
+    save_dataset(rows, images, tmp_path / "ds")
+    encode = ds.encode_pnm
+    calls = []
+
+    def dying(img):
+        calls.append(img)
+        if len(calls) == 5:
+            raise KeyboardInterrupt
+        return encode(img)
+    monkeypatch.setattr(ds, "encode_pnm", dying)
+    with pytest.raises(KeyboardInterrupt):
+        save_dataset(rows, images, tmp_path / "ds")
+    assert not (tmp_path / "ds" / "manifest.jsonl").exists()
+
+
 def test_bvae_streams_shape():
     rows, images = generate_dataset(bvae_cfg())
     streams = bvae_test_streams(rows, images)

@@ -499,18 +499,29 @@ def test_mig_degenerate_factor_errors():
 # Reference kernels: the plain formulations the layers must reproduce bit for
 # bit (same BLAS operands, same per-element summation order).
 
+def whole_batch_forward(self, x, training=False):
+    """The unblocked im2col forward: one column copy of the whole batch and
+    one matmul; in training it saves the padded NHWC input that
+    Conv2D.backward reads."""
+    w = self.params["w"]
+    b = self.params["b"]
+    s, p = self.stride, self.padding
+    if p:
+        x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    if training:
+        self._xh = np.ascontiguousarray(x.transpose(0, 2, 3, 1))
+    k = w.shape[2]
+    win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::s, ::s]
+    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(win.shape[0], win.shape[2], win.shape[3], -1)
+    out = cols @ w.reshape(w.shape[0], -1).T + b
+    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+
+
 class RefConv2D(Conv2D):
     def forward(self, x, training=False):
-        s, p = self.stride, self.padding
-        if p:
-            x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-        self._x = x
-        w = self.params["w"]
-        k = w.shape[2]
-        win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::s, ::s]
-        cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(win.shape[0], win.shape[2], win.shape[3], -1)
-        out = cols @ w.reshape(w.shape[0], -1).T + self.params["b"]
-        return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+        p = self.padding
+        self._x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+        return whole_batch_forward(self, x)
 
     def backward(self, grad):
         w = self.params["w"]
@@ -584,24 +595,69 @@ def assert_same_pass(layer, ref, x, rng):
         assert np.array_equal(layer.grads[name], ref.grads[name]), name
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("n,c,oc,hw,k,stride,pad", [
+CONV_CASES = [
     (1, 3, 16, (12, 12), 3, 1, 1),   # bvae block
     (16, 16, 8, (12, 12), 3, 1, 1),
     (4, 6, 8, (48, 64), 5, 3, 2),    # flow encoder block
     (16, 16, 32, (2, 3), 5, 3, 2),   # flow encoder's last block: 1x1 output
     (3, 2, 4, (9, 7), 3, 2, 0),      # odd sizes, stride 2, no padding
     (2, 1, 1, (5, 5), 1, 1, 0),
-])
-def test_conv_bit_equal_to_reference(dtype, n, c, oc, hw, k, stride, pad):
-    rng = np.random.default_rng(30)
+    # several column blocks, the last one partial
+    (17, 16, 3, (48, 48), 3, 1, 1),  # bvae decoder's last conv
+    (121, 16, 16, (24, 24), 3, 1, 1),
+    (16, 6, 8, (48, 64), 5, 3, 2),   # flow encoder's first conv, window fill
+    (16, 8, 6, (48, 64), 5, 1, 2),   # its mirror in the flow decoder
+]
+
+
+def conv_pair(dtype, c, oc, k, stride, pad, rng):
     layer = Conv2D(c, oc, k, stride, pad, rng)
     layer.params = {name: v.astype(dtype) for name, v in layer.params.items()}
     layer.params["b"] += rng.normal(size=oc).astype(dtype)
     ref = RefConv2D(c, oc, k, stride, pad)
     ref.params = layer.params
+    return layer, ref
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n,c,oc,hw,k,stride,pad", CONV_CASES)
+def test_conv_bit_equal_to_reference(dtype, n, c, oc, hw, k, stride, pad):
+    rng = np.random.default_rng(30)
+    layer, ref = conv_pair(dtype, c, oc, k, stride, pad, rng)
     x = rng.normal(size=(n, c) + hw).astype(dtype)
     assert_same_pass(layer, ref, x, rng)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n,c,oc,hw,k,stride,pad", CONV_CASES)
+def test_conv_inference_bit_equal_to_reference(dtype, n, c, oc, hw, k, stride, pad):
+    rng = np.random.default_rng(34)
+    layer, ref = conv_pair(dtype, c, oc, k, stride, pad, rng)
+    x = rng.normal(size=(n, c) + hw).astype(dtype)
+    before = dict(vars(layer))
+    out = layer.forward(x, training=False)
+    want = ref.forward(x, training=False)
+    assert out.dtype == want.dtype and out.flags.c_contiguous and np.array_equal(out, want)
+    assert vars(layer).keys() == before.keys()
+    assert all(vars(layer)[k] is v for k, v in before.items())
+
+
+@pytest.mark.parametrize("spec", [bvae_spec(48, 48, 3, n_latent=16, beta=1e-4),
+                                  of_encoder_spec(48, 64, 6, n_latent=12, beta=1e-4)],
+                         ids=["bvae48", "flow"])
+def test_training_bit_equal_to_whole_batch_kernel(spec, monkeypatch):
+    """Two epochs with blocked columns train the very weights of the whole-
+    batch kernel; a backward reading a differently built input would not."""
+    rng = np.random.default_rng(35)
+    data = rng.random((21,) + (spec.in_channels,) + spec.input_hw).astype(np.float32)
+    opts = TrainOpts(epochs=2, batch_size=16, seed=6)
+    blocked = train(spec, data, opts)
+    monkeypatch.setattr(Conv2D, "forward", whole_batch_forward)
+    whole = train(spec, data, opts)
+    got, want = blocked.named_params(), whole.named_params()
+    assert [name for name, _ in got] == [name for name, _ in want]
+    for (name, a), (_, b) in zip(got, want):
+        assert np.array_equal(a, b), name
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -762,7 +818,7 @@ def test_quantized_plan_bit_equal_to_int64_reference(spec):
     xs = rng.uniform(0, 1, (120,) + shape).astype(np.float32)
     for m in (q, load_model(save_model(q))):
         ref = DetectorModel(m.spec, "qint8", [], quantized=RefQuantizedEncoder(m))
-        for batch in (xs[:1], xs[57:58], xs):
+        for batch in (xs[:1], xs[57:58], xs[:57], xs):  # 57: a partial last block
             mu, var = m.encode_batch(batch)
             mu_ref, var_ref = ref.encode_batch(batch)
             assert np.array_equal(mu, mu_ref) and np.array_equal(var, var_ref)
