@@ -37,8 +37,8 @@ from .dataset import (
 )
 from .fileio import write_atomic
 from .gasearch import BVAE, Genome, MemoizedEvaluator, OPTFLOW, run_ga
-from .network import cast_model_f16, load_model, model_checksum, quantize_model, save_model
-from .oodcore import CalibrationMismatchError, CalibrationSet, PostprocessConfig, build_calibration
+from .network import cast_model_f16, load_model, quantize_model, save_model
+from .oodcore import CalibrationSet, PostprocessConfig, build_calibration
 from .pipeline import (
     ExecutorKind,
     bench_matrix,
@@ -112,25 +112,15 @@ def _load_models(run: Path, family: str, precision: str):
     return models, Genome.from_dict(models[0].metadata["genome"])
 
 
-def _load_calibrations(run: Path, family: str, precision: str, models):
-    """The calibration of every branch, each checked to belong to its model."""
+def _load_bundle(run: Path, cfg: ExperimentConfig, precision: str):
+    """The detector of one precision; the bundle refuses a calibration that
+    was made for another model."""
+    models, genome = _load_models(run, cfg.family, precision)
     calibs = []
-    for model, p in zip(models, _calib_paths(run, family, precision)):
+    for p in _calib_paths(run, cfg.family, precision):
         if not p.exists():
             raise FileNotFoundError(f"missing calibration {p}; run calibrate first")
-        calib = CalibrationSet.from_csv(p.read_text())
-        checksum = model_checksum(model)
-        if calib.model_checksum != checksum:
-            raise CalibrationMismatchError(
-                f"{p} was calibrated for model checksum {calib.model_checksum!r}, "
-                f"the {precision} model has {checksum!r}; rerun calibrate")
-        calibs.append(calib)
-    return calibs
-
-
-def _load_bundle(run: Path, cfg: ExperimentConfig, precision: str):
-    models, genome = _load_models(run, cfg.family, precision)
-    calibs = _load_calibrations(run, cfg.family, precision, models)
+        calibs.append(CalibrationSet.from_csv(p.read_text()))
     pp = _postprocess(cfg, run)
     if cfg.family == BVAE:
         return BvaeBundle(genome, *models, *calibs, pp)
@@ -182,10 +172,9 @@ def cmd_train(args, run, cfg):
 
 def _calibrate(run, cfg, precision, models, inputs):
     """Write one calibration CSV per branch; returns the score counts."""
-    pp = _postprocess(cfg, run)
     counts = []
     for model, data, path in zip(models, inputs, _calib_paths(run, cfg.family, precision)):
-        calib = build_calibration(model, data, pp, model_checksum(model))
+        calib = build_calibration(model, data, cfg.postprocess)
         write_atomic(path, calib.to_csv())
         counts.append(len(calib))
     return counts
@@ -201,32 +190,24 @@ def cmd_calibrate(args, run, cfg):
 
 
 def cmd_quantize(args, run, cfg):
+    """Derive each listed precision from the f32 models and calibrate it on
+    its own scores."""
+    derived = [p for p in cfg.precisions if p != "f32"]
+    if not derived:
+        print("quantize: precisions lists no derived precision; nothing to do")
+        return 0
     rows, images = _dataset(run)
-    models, genome = _load_models(run, cfg.family, "f32")
-    listed = [p for p in cfg.precisions if p != "f32"]
-    targets = [p for p in sorted(cfg.recalibrate) if p in listed]
-    # f32 scores reused for a derived precision must belong to these f32
-    # models; checked before anything is written
-    f32_calibs = (None if all(cfg.recalibrate[p] for p in targets)
-                  else _load_calibrations(run, cfg.family, "f32", models))
+    f32_models, genome = _load_models(run, cfg.family, "f32")
     inputs = _encoder_inputs(cfg, genome, rows, images, "calib")
     derive = {"qint8": quantize_model, "f16": lambda model, data: cast_model_f16(model)}
-    derived = {p: [derive[p](m, data) for m, data in zip(models, inputs)] for p in listed}
-    for precision, ms in derived.items():
+    for precision in derived:
+        models = [derive[precision](m, data) for m, data in zip(f32_models, inputs)]
         paths = _model_paths(run, cfg.family, precision)
-        for model, path in zip(ms, paths):
+        for model, path in zip(models, paths):
             write_atomic(path, save_model(model))
-        print(f"{precision} models: {', '.join(p.name for p in paths)}")
-    for precision in targets:
-        if cfg.recalibrate[precision]:
-            counts = _calibrate(run, cfg, precision, derived[precision], inputs)
-            print(f"regenerated calibration for {precision}: {counts} scores")
-        else:
-            for model, calib, path in zip(derived[precision], f32_calibs,
-                                          _calib_paths(run, cfg.family, precision)):
-                write_atomic(path, CalibrationSet(calib.scores, precision,
-                                                  model_checksum(model)).to_csv())
-            print(f"reused f32 calibration scores for {precision}")
+        counts = _calibrate(run, cfg, precision, models, inputs)
+        print(f"{precision} models: {', '.join(p.name for p in paths)}; "
+              f"calibrated on {counts} scores")
     return 0
 
 

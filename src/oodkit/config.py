@@ -55,7 +55,6 @@ class ExperimentConfig:
     postprocess: PostprocessConfig = field(default_factory=PostprocessConfig)
     delta_grid: tuple = (0.0, 0.05, 0.1, 0.2, 0.4, 0.8)
     precisions: tuple = PRECISIONS
-    recalibrate: dict = field(default_factory=lambda: {"qint8": True, "f16": False})
     executors: tuple = ("mono_st", "chain_mt", "mono_mt")
     ga: GaSection = field(default_factory=GaSection)
     bench: BenchConfig = field(default_factory=BenchConfig)
@@ -156,7 +155,6 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         postprocess=PostprocessConfig(**base["postprocess"]),
         delta_grid=tuple(base["delta_grid"]),
         precisions=tuple(base["precisions"]),
-        recalibrate=dict(base["recalibrate"]),
         executors=tuple(base["executors"]),
         ga=GaSection(**ga),
         bench=BenchConfig(**bench),

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .network.model import LatentOutput, kl_standard_normal
+from .network.serial import model_checksum
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,7 @@ class CalibrationMismatchError(ValueError):
 @dataclass(frozen=True)
 class CalibrationSet:
     """Sorted nonconformity scores of the calibration images, tagged with the
-    precision they were generated under."""
+    precision and the checksum of the model that scored them."""
 
     scores: np.ndarray
     precision_tag: str
@@ -79,12 +80,22 @@ class CalibrationSet:
 
     @classmethod
     def from_csv(cls, text: str) -> "CalibrationSet":
+        """Parse to_csv's format; a malformed file raises ValueError saying
+        what is wrong."""
         lines = text.strip().splitlines()
         if not lines or not lines[0].startswith("#"):
             raise ValueError("missing calibration header")
-        fields = dict(kv.split("=", 1) for kv in lines[0][1:].split())
+        tokens = lines[0][1:].split()
+        if not all("=" in t for t in tokens):
+            raise ValueError(f"calibration header {lines[0]!r} is not key=value tokens")
+        fields = dict(t.split("=", 1) for t in tokens)
+        missing = sorted({"precision", "model_checksum"} - fields.keys())
+        if missing:
+            raise ValueError(f"calibration header lacks {', '.join(missing)}")
+        if lines[1:2] != ["score"]:
+            raise ValueError("calibration column row must be 'score'")
         scores = [float(x) for x in lines[2:]]
-        return cls(np.asarray(scores), fields["precision"], fields.get("model_checksum", ""))
+        return cls(np.asarray(scores), fields["precision"], fields["model_checksum"])
 
 
 def kl_nonconformity(latent: LatentOutput) -> float:
@@ -184,20 +195,20 @@ def harmonic_fitness(aurocs) -> float:
     return float(vals.size / np.sum(1.0 / vals))
 
 
-def build_calibration(model, calib_images, cfg: PostprocessConfig,
-                      checksum: str = "") -> CalibrationSet:
+def build_calibration(model, calib_images, cfg: PostprocessConfig) -> CalibrationSet:
     """Sorted nonconformity scores of every calibration image under the model,
-    tagged with the model precision. The score has no settings, so cfg is
-    not read."""
+    tagged with the model's precision and checksum. The score has no
+    settings, so cfg is not read."""
     xs = np.stack([np.asarray(im, dtype=np.float32) for im in calib_images])
     mu, var = model.encode_batch(xs)
     scores = np.sort(kl_standard_normal(mu, var, axis=1))
-    return CalibrationSet(scores, model.precision, checksum)
+    return CalibrationSet(scores, model.precision, model_checksum(model))
 
 
-def check_precision_match(model, calib: CalibrationSet):
-    if calib.precision_tag != model.precision:
+def check_calibration(model, calib: CalibrationSet):
+    """Refuse a calibration that was not built on this model's scores."""
+    checksum = model_checksum(model)
+    if calib.model_checksum != checksum:
         raise CalibrationMismatchError(
-            f"calibration set was generated under {calib.precision_tag}, "
-            f"model runs at {model.precision}; regenerate the calibration set")
-
+            f"calibration was built for model checksum {calib.model_checksum!r}, "
+            f"the {model.precision} model has {checksum!r}; rerun calibrate")

@@ -406,8 +406,8 @@ def throughput_sweep(graph: CallbackGraph, kind: ExecutorKind, rates,
 
 def build_graph(bundle) -> CallbackGraph:
     """Stage decomposition of a detector bundle: a three-stage chain for the
-    image detector; preprocessing, twin encoders, join, and post-processing
-    for the flow detector."""
+    image detector; preprocessing, then twin encoders whose latents meet in
+    post-processing, for the flow detector."""
     pp = bundle.postprocess
     if isinstance(bundle, BvaeBundle):
         genome = bundle.genome
@@ -449,14 +449,12 @@ def build_graph(bundle) -> CallbackGraph:
                   lambda st: None if st is None else bundle.model_u.encode(st[0])),
             Stage("encoder_v",
                   lambda st: None if st is None else bundle.model_v.encode(st[1])),
-            Stage("join", lambda pair: pair),
             Stage("postprocess", post_fn,
                   state_factory=lambda: (DetectorState(window=pp.window),
                                          DetectorState(window=pp.window))),
         ]
         edges = [("preprocess", "encoder_u"), ("preprocess", "encoder_v"),
-                 ("encoder_u", "join"), ("encoder_v", "join"),
-                 ("join", "postprocess")]
+                 ("encoder_u", "postprocess"), ("encoder_v", "postprocess")]
         return CallbackGraph(stages, edges)
 
     raise ValueError(f"cannot build a callback graph from {type(bundle).__name__}")

@@ -20,7 +20,7 @@ from .oodcore import (
     PostprocessConfig,
     auroc,
     build_calibration,
-    check_precision_match,
+    check_calibration,
     harmonic_fitness,
     score_frame,  # noqa: F401 - a hook point: tracers wrap workflow.score_frame
 )
@@ -77,7 +77,7 @@ class BvaeBundle:
     postprocess: PostprocessConfig
 
     def __post_init__(self):
-        check_precision_match(self.model, self.calib)
+        check_calibration(self.model, self.calib)
 
     @property
     def family(self):
@@ -101,8 +101,8 @@ class FlowBundle:
     farneback: FarnebackParams = FarnebackParams()
 
     def __post_init__(self):
-        check_precision_match(self.model_u, self.calib_u)
-        check_precision_match(self.model_v, self.calib_v)
+        check_calibration(self.model_u, self.calib_u)
+        check_calibration(self.model_v, self.calib_v)
 
     @property
     def family(self):

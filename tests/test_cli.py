@@ -412,7 +412,7 @@ def test_evaluate_refuses_stale_calibration(tmp_path, capsys):
     cfg = dict(FAST_CONFIG, precisions=["f32", "f16"])
     run = _fresh_run(tmp_path, "stale", cfg, ["train"], ["calibrate"], ["quantize"])
     assert not (run / "models" / "main_qint8.oodm").exists()  # qint8 is not listed
-    # the reused f32 scores carry the checksum of the f16 model they now serve
+    # quantize calibrated the f16 model on its own scores, under its own checksum
     assert main(["--run-dir", str(run), "evaluate", "--precision", "f16"]) == 0
     retrained = tmp_path / "retrained.json"
     retrained.write_text(json.dumps(dict(cfg, train=dict(cfg["train"], seed=1))))
@@ -422,19 +422,56 @@ def test_evaluate_refuses_stale_calibration(tmp_path, capsys):
     assert "model checksum" in capsys.readouterr().err
 
 
-def test_quantize_refuses_stale_f32_calibration(tmp_path, capsys):
+def test_quantize_calibrates_f16_on_its_own_scores(tmp_path):
+    from oodkit.dataset import load_dataset, split_images
+    from oodkit.gasearch import Genome
+    from oodkit.network import load_model, model_checksum
+    from oodkit.oodcore import CalibrationSet, PostprocessConfig, build_calibration
+    from oodkit.workflow import encoder_inputs
     cfg = dict(FAST_CONFIG, precisions=["f32", "f16"])
-    run = _fresh_run(tmp_path, "stale_f16", cfg, ["train"], ["calibrate"], ["quantize"])
+    run = _fresh_run(tmp_path, "f16", cfg, ["train"], ["calibrate"], ["quantize"])
+    model = load_model((run / "models" / "main_f16.oodm").read_bytes())
+    rows, images = load_dataset(run / "dataset")
+    [data] = encoder_inputs(Genome.from_dict(model.metadata["genome"]),
+                            split_images(rows, images, "calib"))
+    calib = CalibrationSet.from_csv((run / "calib" / "main_f16.csv").read_text())
+    expected = build_calibration(model, data, PostprocessConfig())
+    assert np.array_equal(calib.scores, expected.scores)
+    assert calib.model_checksum == model_checksum(model)
+    assert calib.precision_tag == "f16"
+    f32 = CalibrationSet.from_csv((run / "calib" / "main_f32.csv").read_text())
+    assert not np.array_equal(calib.scores, f32.scores)
+
+
+def test_quantize_after_retrain_calibrates_the_new_f16_model(tmp_path):
+    from oodkit.network import load_model, model_checksum
+    from oodkit.oodcore import CalibrationSet
+    cfg = dict(FAST_CONFIG, precisions=["f32", "f16"])
+    run = _fresh_run(tmp_path, "retrain_f16", cfg, ["train"], ["calibrate"], ["quantize"])
+    old = CalibrationSet.from_csv((run / "calib" / "main_f16.csv").read_text())
     retrained = tmp_path / "retrained.json"
     retrained.write_text(json.dumps(dict(cfg, train=dict(cfg["train"], seed=1))))
     assert main(["--run-dir", str(run), "--config", str(retrained), "train"]) == 0
-    before = {p: p.read_bytes() for p in (run / "calib" / "main_f16.csv",
-                                          run / "models" / "main_f16.oodm")}
-    capsys.readouterr()
-    # the f32 scores belong to the old model: reusing them for f16 is refused
-    assert main(["--run-dir", str(run), "quantize"]) == 2
-    assert "model checksum" in capsys.readouterr().err
-    assert {p: p.read_bytes() for p in before} == before
+    # the f32 calibration is stale, but quantize does not read it
+    assert main(["--run-dir", str(run), "quantize"]) == 0
+    model = load_model((run / "models" / "main_f16.oodm").read_bytes())
+    calib = CalibrationSet.from_csv((run / "calib" / "main_f16.csv").read_text())
+    assert calib.model_checksum == model_checksum(model) != old.model_checksum
+    assert main(["--run-dir", str(run), "evaluate", "--precision", "f16"]) == 0
+
+
+def test_quantize_without_derived_precision_reads_nothing(tmp_path, monkeypatch):
+    import oodkit.cli as cli
+
+    def no_inputs(*args, **kwargs):
+        raise AssertionError("quantize read the dataset or computed encoder inputs")
+    run = _fresh_run(tmp_path, "f32_only", dict(FAST_CONFIG, precisions=["f32"]),
+                     ["train"], ["calibrate"])
+    before = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
+    monkeypatch.setattr(cli, "encoder_inputs", no_inputs)
+    monkeypatch.setattr(cli, "load_dataset", no_inputs)
+    assert main(["--run-dir", str(run), "quantize"]) == 0
+    assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
 
 
 def test_ga_search_resumes_after_interrupted_checkpoint(tmp_path, monkeypatch):

@@ -35,13 +35,16 @@ def test_partial_dict_merges_with_defaults():
 def test_unknown_key_rejected(tmp_path):
     with pytest.raises(ValueError, match="unknown config key"):
         config_from_dict({"turbo": True})
-    # a removed post-processing setting fails at load time, not silently
+    # a removed setting fails at load time, not silently
     path = tmp_path / "c.json"
-    path.write_text(json.dumps({"postprocess": {"martingale": "power"}}))
-    with pytest.raises(TypeError, match="martingale"):
-        load_config(path)
-    assert main(["--run-dir", str(tmp_path / "run"), "--config", str(path),
-                 "dataset-generate"]) == 2
+    for removed, error, name in (({"postprocess": {"martingale": "power"}}, TypeError,
+                                  "martingale"),
+                                 ({"recalibrate": {"f16": True}}, ValueError, "recalibrate")):
+        path.write_text(json.dumps(removed))
+        with pytest.raises(error, match=name):
+            load_config(path)
+        assert main(["--run-dir", str(tmp_path / "run"), "--config", str(path),
+                     "dataset-generate"]) == 2
 
 
 def test_family_mismatch_rejected():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oodkit.network import model_checksum
 from oodkit.network.model import LatentOutput
 from oodkit.oodcore import (
     CalibrationMismatchError,
@@ -9,7 +10,7 @@ from oodkit.oodcore import (
     PostprocessConfig,
     auroc,
     build_calibration,
-    check_precision_match,
+    check_calibration,
     cusum_update,
     harmonic_fitness,
     icp_pvalue,
@@ -206,6 +207,12 @@ def test_calibration_set_validation_and_csv():
 class _StubModel:
     precision = "f32"
 
+    def __init__(self, weight=1.0):
+        self.weight = np.float32([weight])
+
+    def named_params(self):
+        return [("w", self.weight)]
+
     def encode_batch(self, xs):
         n = xs.shape[0]
         mu = np.arange(n, dtype=np.float64)[:, None] * np.ones((1, 3))
@@ -221,12 +228,33 @@ def test_build_calibration_sorted_and_deterministic():
     assert np.all(np.diff(c1.scores) >= 0)
     assert np.isfinite(c1.scores).all()
     assert c1.precision_tag == "f32"
+    assert c1.model_checksum == model_checksum(_StubModel())
 
 
-def test_precision_tag_mismatch_raises():
-    calib = CalibrationSet(np.array([1.0]), "qint8")
-    with pytest.raises(CalibrationMismatchError):
-        check_precision_match(_StubModel(), calib)
+def test_check_calibration_refuses_another_models_scores():
+    imgs = [np.full((1, 2, 2), i, np.float32) for i in range(5)]
+    model, other = _StubModel(1.0), _StubModel(2.0)
+    check_calibration(model, build_calibration(model, imgs, PostprocessConfig()))
+    # same precision and the same scores, but built on another model's weights
+    calib = build_calibration(other, imgs, PostprocessConfig())
+    with pytest.raises(CalibrationMismatchError, match="model checksum"):
+        check_calibration(model, calib)
+    with pytest.raises(CalibrationMismatchError, match="model checksum"):
+        check_calibration(model, CalibrationSet(calib.scores, "f32"))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1.0\n2.0\n", "missing calibration header"),
+    ("# precision=f32 stray model_checksum=ab\nscore\n1.0\n", "not key=value"),
+    ("# model_checksum=ab\nscore\n1.0\n", "lacks precision"),
+    ("# precision=f32\nscore\n1.0\n", "lacks model_checksum"),
+    ("# precision=f32 model_checksum=ab\n1.0\n2.0\n3.0\n", "column row"),
+    ("# precision=f32 model_checksum=ab\nscore\n", "empty"),
+    ("# precision=f32 model_checksum=ab\nscore\n1.0\nnan\n", "finite"),
+])
+def test_from_csv_refuses_malformed_file(text, message):
+    with pytest.raises(ValueError, match=message):
+        CalibrationSet.from_csv(text)
 
 
 def test_postprocess_config_validation():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,10 +16,12 @@ from oodkit.dataset import (
 from oodkit.gasearch import Genome
 from oodkit.imaging import SceneParams
 from oodkit.network import TrainOpts
-from oodkit.oodcore import PostprocessConfig
+from oodkit.oodcore import CalibrationMismatchError, PostprocessConfig
 from oodkit.optflow import FarnebackParams, farneback_flow, stack_flows
 from oodkit.workflow import (
+    BvaeBundle,
     BvaeTrainContext,
+    FlowBundle,
     FlowHistory,
     FlowTrainContext,
     bvae_bundle_for_genome,
@@ -82,6 +86,16 @@ def test_score_stream_resets_state(bvae_ctx):
     b = score_stream(bundle, stream)
     assert np.array_equal(a, b)
     assert len(a) == len(stream)
+
+
+def test_bundle_refuses_another_models_calibration(bvae_ctx):
+    genome = Genome("bvae", (16, 16), "bilinear", color="gray")
+    bundle = bvae_bundle_for_genome(genome, bvae_ctx)
+    reseeded = replace(bvae_ctx, opts=replace(bvae_ctx.opts, seed=1))
+    other = bvae_bundle_for_genome(genome, reseeded)
+    assert other.calib.precision_tag == bundle.model.precision
+    with pytest.raises(CalibrationMismatchError, match="model checksum"):
+        BvaeBundle(genome, bundle.model, other.calib, bundle.postprocess)
 
 
 def test_evaluate_streams_requires_id():
@@ -219,6 +233,9 @@ def test_flow_bundle_and_scoring_small():
         n_latent=4, beta=1e-4)
     bundle = flow_bundle_for_genome(genome, ctx)
     assert bundle.calib_u.precision_tag == "f32"
+    with pytest.raises(CalibrationMismatchError, match="model checksum"):
+        FlowBundle(genome, bundle.model_u, bundle.model_v, bundle.calib_v, bundle.calib_u,
+                   bundle.postprocess, bundle.farneback)
     scores = score_stream(bundle, ctx.test_streams["id"][0])
     assert len(scores) == 10 - genome.flow_depth  # warm-up frames skipped
     factor_auroc, fitness = evaluate_streams(
