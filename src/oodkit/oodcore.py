@@ -54,7 +54,7 @@ class CalibrationSet:
 
     scores: np.ndarray
     precision_tag: str
-    model_checksum: str = ""
+    model_checksum: str
 
     def __post_init__(self):
         scores = np.asarray(self.scores, dtype=np.float64)

@@ -34,7 +34,7 @@ def test_kl_nonconformity_examples():
         kl_nonconformity(lat([0.0], [0.0]))
 
 
-CALIB = CalibrationSet(np.arange(1.0, 10.0), "f32")
+CALIB = CalibrationSet(np.arange(1.0, 10.0), "f32", "00000000")
 
 
 def test_icp_pvalue_examples():
@@ -194,9 +194,9 @@ def test_harmonic_fitness():
 
 def test_calibration_set_validation_and_csv():
     with pytest.raises(ValueError):
-        CalibrationSet(np.array([]), "f32")
+        CalibrationSet(np.array([]), "f32", "00000000")
     with pytest.raises(ValueError):
-        CalibrationSet(np.array([2.0, 1.0]), "f32")
+        CalibrationSet(np.array([2.0, 1.0]), "f32", "00000000")
     c = CalibrationSet(np.array([0.5, 1.5, 2.5]), "qint8", "deadbeef")
     back = CalibrationSet.from_csv(c.to_csv())
     assert np.array_equal(back.scores, c.scores)
@@ -239,8 +239,9 @@ def test_check_calibration_refuses_another_models_scores():
     calib = build_calibration(other, imgs, PostprocessConfig())
     with pytest.raises(CalibrationMismatchError, match="model checksum"):
         check_calibration(model, calib)
+    # a header with an empty checksum ("model_checksum=") names no model
     with pytest.raises(CalibrationMismatchError, match="model checksum"):
-        check_calibration(model, CalibrationSet(calib.scores, "f32"))
+        check_calibration(model, CalibrationSet(calib.scores, "f32", ""))
 
 
 @pytest.mark.parametrize("text, message", [
