@@ -55,18 +55,6 @@ class FlattenSpec:
 
 
 @dataclass(frozen=True)
-class UnflattenSpec:
-    chw: tuple
-    kind: str = field(default="unflatten", init=False)
-
-
-@dataclass(frozen=True)
-class UpsampleSpec:
-    target_hw: tuple
-    kind: str = field(default="upsample", init=False)
-
-
-@dataclass(frozen=True)
 class ModelSpec:
     """Encoder trunk from input geometry down to the 2*n_latent head."""
 
@@ -88,11 +76,11 @@ class ModelSpec:
 
 
 def infer_shapes(spec: ModelSpec):
-    """Per-layer input shapes; raises ValueError on an inconsistent chain."""
+    """The shape chain of the encoder: shapes[i] is layer i's input and
+    shapes[i + 1] its output. Raises ValueError on an inconsistent chain."""
     shape = (spec.in_channels, spec.input_hw[0], spec.input_hw[1])
-    shapes = []
+    shapes = [shape]
     for i, ls in enumerate(spec.layers):
-        shapes.append(shape)
         kind = ls.kind
         if kind == "conv2d":
             if len(shape) != 3:
@@ -122,91 +110,73 @@ def infer_shapes(spec: ModelSpec):
                 raise ValueError(f"layer {i}: batchnorm2d needs (C,H,W) input, got {shape}")
         else:
             raise ValueError(f"layer {i}: unknown layer kind {kind!r} in encoder spec")
+        shapes.append(shape)
     if shape != (2 * spec.n_latent,):
         raise ValueError(
             f"encoder must end with 2*n_latent={2 * spec.n_latent} outputs, got {shape}")
     return shapes
 
 
+# encoder layer of each spec kind, from its spec record and its input shape
+_ENCODER_LAYERS = {
+    "conv2d": lambda ls, shape, rng: L.Conv2D(shape[0], ls.out_channels, ls.kernel,
+                                              ls.stride, ls.padding, rng),
+    "maxpool2d": lambda ls, shape, rng: L.MaxPool2D(ls.kernel),
+    "dense": lambda ls, shape, rng: L.Dense(shape[0], ls.out_dim, rng),
+    "relu": lambda ls, shape, rng: L.ReLU(),
+    "batchnorm2d": lambda ls, shape, rng: L.BatchNorm2D(shape[0]),
+    "flatten": lambda ls, shape, rng: L.Flatten(),
+}
+
+
 def build_encoder(spec: ModelSpec, rng=None):
     shapes = infer_shapes(spec)
-    out = []
-    for ls, shape in zip(spec.layers, shapes):
-        kind = ls.kind
-        if kind == "conv2d":
-            out.append(L.Conv2D(shape[0], ls.out_channels, ls.kernel, ls.stride, ls.padding, rng))
-        elif kind == "maxpool2d":
-            out.append(L.MaxPool2D(ls.kernel))
-        elif kind == "dense":
-            out.append(L.Dense(shape[0], ls.out_dim, rng))
-        elif kind == "relu":
-            out.append(L.ReLU())
-        elif kind == "batchnorm2d":
-            out.append(L.BatchNorm2D(shape[0]))
-        elif kind == "flatten":
-            out.append(L.Flatten())
-        else:
-            raise ValueError(f"unknown layer kind {kind!r}")
-    return out
-
-
-def mirror_decoder_spec(spec: ModelSpec):
-    """Decoder layer specs: the encoder reversed, with nearest upsampling
-    standing in for every pooling or strided-convolution resolution drop.
-    Leading head activations are dropped so the latent enters a dense layer."""
-    shapes = infer_shapes(spec)
-    rev = []
-    for ls, in_shape in zip(reversed(spec.layers), reversed(shapes)):
-        kind = ls.kind
-        if kind == "dense":
-            rev.append(DenseSpec(in_shape[0]))
-        elif kind == "flatten":
-            rev.append(UnflattenSpec(in_shape))
-        elif kind == "maxpool2d":
-            rev.append(UpsampleSpec(in_shape[1:]))
-        elif kind == "conv2d":
-            if ls.kernel % 2 == 0:
-                raise ValueError("mirrored decoders require odd convolution kernels")
-            c, h, w = in_shape
-            oh = (h + 2 * ls.padding - ls.kernel) // ls.stride + 1
-            ow = (w + 2 * ls.padding - ls.kernel) // ls.stride + 1
-            if (oh, ow) != (h, w):
-                rev.append(UpsampleSpec((h, w)))
-            rev.append(ConvSpec(c, ls.kernel, 1, ls.kernel // 2))
-        elif kind in ("relu", "batchnorm2d"):
-            rev.append(ls)
-        else:
-            raise ValueError(f"unknown layer kind {kind!r}")
-    while rev and rev[0].kind in ("relu", "batchnorm2d"):
-        rev.pop(0)
-    return tuple(rev)
+    return [_ENCODER_LAYERS[ls.kind](ls, shape, rng) for ls, shape in zip(spec.layers, shapes)]
 
 
 def build_decoder(spec: ModelSpec, rng=None):
-    dec_specs = mirror_decoder_spec(spec)
+    """The encoder mirrored: its layers in reverse, each restoring its input
+    shape, with nearest upsampling standing in for every pooling or strided-
+    convolution resolution drop. Leading head activations are dropped so the
+    latent enters a dense layer."""
+    shapes = infer_shapes(spec)
     shape = (spec.n_latent,)
     out = []
-    for ls in dec_specs:
+    for i in reversed(range(len(spec.layers))):
+        ls, in_shape = spec.layers[i], shapes[i]
         kind = ls.kind
+        if kind in ("relu", "batchnorm2d"):
+            if out:
+                out.append(L.ReLU() if kind == "relu" else L.BatchNorm2D(shape[0]))
+            continue
         if kind == "dense":
-            out.append(L.Dense(shape[0], ls.out_dim, rng))
-            shape = (ls.out_dim,)
-        elif kind == "unflatten":
-            out.append(L.Unflatten(ls.chw))
-            shape = tuple(ls.chw)
-        elif kind == "upsample":
-            out.append(L.Upsample(ls.target_hw))
-            shape = (shape[0],) + tuple(ls.target_hw)
-        elif kind == "conv2d":
-            out.append(L.Conv2D(shape[0], ls.out_channels, ls.kernel, ls.stride, ls.padding, rng))
-            shape = (ls.out_channels, shape[1], shape[2])
-        elif kind == "relu":
-            out.append(L.ReLU())
-        elif kind == "batchnorm2d":
-            out.append(L.BatchNorm2D(shape[0]))
-        else:
-            raise ValueError(f"unknown decoder layer kind {kind!r}")
+            out.append(L.Dense(shape[0], in_shape[0], rng))
+        elif kind == "flatten":
+            out.append(L.Unflatten(in_shape))
+        elif kind == "maxpool2d":
+            out.append(L.Upsample(in_shape[1:]))
+        else:  # conv2d
+            if ls.kernel % 2 == 0:
+                raise ValueError("mirrored decoders require odd convolution kernels")
+            if shapes[i + 1][1:] != in_shape[1:]:
+                out.append(L.Upsample(in_shape[1:]))
+            out.append(L.Conv2D(shape[0], in_shape[0], ls.kernel, 1, ls.kernel // 2, rng))
+        shape = in_shape
     return out
+
+
+def named_arrays(encoder, decoder, *, stored):
+    """(name, layer, key) of each parameter of the layers, encoder then
+    decoder, named "{enc|dec}.{layer index}.{key}"; with stored, each
+    batchnorm's running statistics follow its parameters, so the walk covers
+    every array a model file holds, in file order."""
+    for prefix, group in (("enc", encoder), ("dec", decoder or [])):
+        for i, layer in enumerate(group):
+            keys = list(layer.params)
+            if stored and isinstance(layer, L.BatchNorm2D):
+                keys += ["running_mean", "running_var"]
+            for key in keys:
+                yield f"{prefix}.{i}.{key}", layer, key
 
 
 def decode_variance(h: np.ndarray, parametrization: str) -> np.ndarray:
@@ -296,16 +266,17 @@ class DetectorModel:
         return self.decode_batch(np.asarray(z)[None])[0]
 
     def named_params(self):
-        """(name, array) pairs over encoder then decoder, serialization order."""
-        out = []
-        for prefix, group in (("enc", self.encoder), ("dec", self.decoder or [])):
-            for i, layer in enumerate(group):
-                for pname, arr in layer.params.items():
-                    out.append((f"{prefix}.{i}.{pname}", arr))
-                if isinstance(layer, L.BatchNorm2D):
-                    out.append((f"{prefix}.{i}.running_mean", layer.running_mean))
-                    out.append((f"{prefix}.{i}.running_var", layer.running_var))
-        return out
+        """(name, array) of every stored array, in file order (named_arrays)."""
+        return [(name, layer.params[key] if key in layer.params else getattr(layer, key))
+                for name, layer, key in named_arrays(self.encoder, self.decoder, stored=True)]
+
+    def set_params(self, arrays: dict):
+        """Replace every stored array by arrays[its name]."""
+        for name, layer, key in named_arrays(self.encoder, self.decoder, stored=True):
+            if key in layer.params:
+                layer.params[key] = arrays[name]
+            else:
+                setattr(layer, key, arrays[name])
 
 
 def kl_standard_normal(mu: np.ndarray, var: np.ndarray, axis=-1) -> np.ndarray:

@@ -10,7 +10,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ..tensor import (F16, F32, QINT8, QMAX, QMIN, QuantParams, Tensor, calibrate_quant_params,
                       round_half_away)
 from . import layers as L
-from .model import DetectorModel, ModelSpec, build_decoder, build_encoder
+from .model import DetectorModel, ModelSpec, build_decoder, build_encoder, named_arrays
 
 MIN_CALIBRATION_IMAGES = 8
 
@@ -157,10 +157,14 @@ class _QFlatten:
 class QuantizedEncoder:
     """Integer inference plan: int8 codes between layers, held as integer-
     valued float64 in NHWC layout, exact integer accumulation inside them,
-    f32 only at the head output."""
+    f32 only at the head output. It keeps what its ops were built from, the
+    quantized tensors (name -> Tensor) and the site table (name -> (scale,
+    zero_point)): what a qint8 model file stores."""
 
-    def __init__(self, input_qp: QuantParams, ops):
-        self.input_qp = input_qp
+    def __init__(self, weights: dict, sites: dict, ops):
+        self.weights = dict(weights)
+        self.sites = dict(sites)
+        self.input_qp = QuantParams(*self.sites["input"])
         self.ops = ops
 
     def forward(self, xs: np.ndarray) -> np.ndarray:
@@ -202,13 +206,15 @@ def quantize_model(model: DetectorModel, calibration_images) -> DetectorModel:
     folded = fold_batchnorm(model)
     sites = _observe_sites(folded, calib)
     weights = {}
-    for i, (ls, layer) in enumerate(zip(folded.spec.layers, folded.encoder)):
-        if ls.kind in ("conv2d", "dense"):
-            w = layer.params["w"]
+    # each conv's and dense's w and b: the folded encoder has no other params
+    for name, layer, key in named_arrays(folded.encoder, None, stored=False):
+        w = layer.params[key]
+        if key == "w":
             wqp = calibrate_quant_params([w], "symmetric")
             wq = np.clip(round_half_away(w.astype(np.float64) / wqp.scale), -128, 127).astype(np.int8)
-            weights[f"enc.{i}.w"] = Tensor.qint8(wq, wqp)
-            weights[f"enc.{i}.b"] = Tensor.f32(layer.params["b"])
+            weights[name] = Tensor.qint8(wq, wqp)
+        else:
+            weights[name] = Tensor.f32(w)
     return rebuild_quantized(folded.spec, weights,
                              {k: (qp.scale, qp.zero_point) for k, qp in sites.items()},
                              dict(model.metadata))
@@ -241,15 +247,8 @@ def rebuild_quantized(spec: ModelSpec, weights: dict, sites: dict, metadata: dic
             ops.append(_QFlatten())
         else:
             raise ValueError(f"cannot quantize layer kind {ls.kind!r}")
-    qmodel = DetectorModel(spec, QINT8, [], None,
-                           quantized=QuantizedEncoder(qps["input"], ops), metadata=metadata)
-    qmodel.quant_weights = dict(weights)
-    qmodel.quant_sites = dict(sites)
-    return qmodel
-
-
-def _binary16(arr: np.ndarray) -> np.ndarray:
-    return arr.astype(np.float16).astype(np.float32)
+    return DetectorModel(spec, QINT8, [], None,
+                         quantized=QuantizedEncoder(weights, sites, ops), metadata=metadata)
 
 
 def cast_model_f16(model: DetectorModel) -> DetectorModel:
@@ -259,13 +258,8 @@ def cast_model_f16(model: DetectorModel) -> DetectorModel:
     if model.precision != F32:
         raise ValueError("f16 cast expects an f32 model")
     spec = model.spec
-    enc = build_encoder(spec)
     dec = build_decoder(spec) if model.decoder is not None else None
-    for src_group, dst_group in ((model.encoder, enc), (model.decoder or [], dec or [])):
-        for src, dst in zip(src_group, dst_group):
-            for pname, arr in src.params.items():
-                dst.params[pname] = _binary16(arr)
-            if isinstance(src, L.BatchNorm2D):
-                dst.running_mean = _binary16(src.running_mean)
-                dst.running_var = _binary16(src.running_var)
-    return DetectorModel(spec, F16, enc, dec, metadata=dict(model.metadata))
+    f16 = DetectorModel(spec, F16, build_encoder(spec), dec, metadata=dict(model.metadata))
+    f16.set_params({name: arr.astype(np.float16).astype(np.float32)
+                    for name, arr in model.named_params()})
+    return f16

@@ -22,6 +22,7 @@ from .model import (
     ReluSpec,
     build_decoder,
     build_encoder,
+    named_arrays,
 )
 from .quantize import rebuild_quantized
 
@@ -76,17 +77,15 @@ def _spec_from_json(d) -> ModelSpec:
                      d["n_latent"], d["beta"], d["variance_parametrization"])
 
 
-def _tensor_directory(model: DetectorModel):
-    """(name, Tensor) pairs covering every stored array of the model."""
+def _stored_arrays(model: DetectorModel):
+    """The tensor directory and the payload of every stored array."""
     if model.precision == QINT8:
-        return sorted(model.quant_weights.items())
-    return [(name, Tensor(arr, model.precision)) for name, arr in model.named_params()]
-
-
-def save_model(model: DetectorModel) -> bytes:
+        tensors = sorted(model.quantized.weights.items())
+    else:
+        tensors = [(name, Tensor(arr, model.precision)) for name, arr in model.named_params()]
     directory = []
     payload = bytearray()
-    for name, t in _tensor_directory(model):
+    for name, t in tensors:
         entry = {"name": name, "dtype": t.dtype, "shape": list(t.shape),
                  "offset": len(payload)}
         if t.quant is not None:
@@ -94,12 +93,17 @@ def save_model(model: DetectorModel) -> bytes:
             entry["zero_point"] = t.quant.zero_point
         directory.append(entry)
         payload.extend(t.to_bytes())
+    return directory, bytes(payload)
+
+
+def save_model(model: DetectorModel) -> bytes:
+    directory, payload = _stored_arrays(model)
     header = {
         "spec": _spec_to_json(model.spec),
         "precision": model.precision,
         "has_decoder": model.decoder is not None,
         "tensors": directory,
-        "activation_quant": getattr(model, "quant_sites", None),
+        "activation_quant": model.quantized.sites if model.precision == QINT8 else None,
         "metadata": model.metadata,
     }
     hbytes = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -108,15 +112,20 @@ def save_model(model: DetectorModel) -> bytes:
     out += struct.pack("<II", VERSION, len(hbytes))
     out += hbytes
     out += payload
-    out += struct.pack("<I", zlib.crc32(bytes(payload)) & 0xFFFFFFFF)
+    out += struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
     return bytes(out)
 
 
 def model_checksum(model: DetectorModel) -> str:
-    payload = bytearray()
-    for _, t in _tensor_directory(model):
-        payload.extend(t.to_bytes())
-    return f"{zlib.crc32(bytes(payload)) & 0xFFFFFFFF:08x}"
+    """CRC32 of every stored value that sets the model's scores: the tensor
+    payload, then for a qint8 model each tensor's scale and zero point and
+    the activation sites, as the header holds them."""
+    directory, payload = _stored_arrays(model)
+    crc = zlib.crc32(payload)
+    if model.precision == QINT8:
+        quant = {"tensors": directory, "activation_quant": model.quantized.sites}
+        crc = zlib.crc32(json.dumps(quant, sort_keys=True).encode("utf-8"), crc)
+    return f"{crc & 0xFFFFFFFF:08x}"
 
 
 def _quant_params(what, pair) -> QuantParams:
@@ -142,15 +151,13 @@ def _check_qint8(spec: ModelSpec, tensors: dict, sites: dict):
     """Refuse a qint8 file the integer plan cannot run on: each conv/dense
     needs a qint8 weight and an f32 bias shaped as its spec layer's, and
     every activation site the plan reads must be a valid affine mapping."""
-    needed = ["input"]
-    for i, layer in enumerate(build_encoder(spec)):
-        for pname, arr in layer.params.items():
-            t = _stored(tensors, f"enc.{i}.{pname}", arr.shape)
-            want = QINT8 if pname == "w" else F32
-            if t.dtype != want:
-                raise OodmError(f"tensor 'enc.{i}.{pname}' is {t.dtype}, expected {want}")
-        if layer.params:
-            needed.append(f"out.{i}")
+    encoder = build_encoder(spec)
+    for name, layer, key in named_arrays(encoder, None, stored=False):
+        t = _stored(tensors, name, layer.params[key].shape)
+        want = QINT8 if key == "w" else F32
+        if t.dtype != want:
+            raise OodmError(f"tensor {name!r} is {t.dtype}, expected {want}")
+    needed = ["input"] + [f"out.{i}" for i, layer in enumerate(encoder) if layer.params]
     for name in needed:
         if name not in sites:
             raise OodmError(f"model file missing activation site {name!r}")
@@ -194,17 +201,9 @@ def load_model(data: bytes) -> DetectorModel:
         _check_qint8(spec, tensors, sites)
         return rebuild_quantized(spec, tensors, sites, metadata)
 
-    encoder = build_encoder(spec)
     decoder = build_decoder(spec) if header.get("has_decoder") else None
-    model = DetectorModel(spec, precision, encoder, decoder, metadata=metadata)
-    for name, arr in model.named_params():
-        # f16 is a storage precision: in memory every float model is float32
-        stored = _stored(tensors, name, arr.shape).data.astype(np.float32)
-        prefix, idx, pname = name.split(".")
-        group = model.encoder if prefix == "enc" else model.decoder
-        layer = group[int(idx)]
-        if pname in ("running_mean", "running_var"):
-            setattr(layer, pname, stored)
-        else:
-            layer.params[pname] = stored
+    model = DetectorModel(spec, precision, build_encoder(spec), decoder, metadata=metadata)
+    # f16 is a storage precision: in memory every float model is float32
+    model.set_params({name: _stored(tensors, name, arr.shape).data.astype(np.float32)
+                      for name, arr in model.named_params()})
     return model

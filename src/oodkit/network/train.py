@@ -15,6 +15,7 @@ from .model import (
     build_encoder,
     decode_variance,
     kl_standard_normal,
+    named_arrays,
     variance_grad,
 )
 
@@ -75,11 +76,8 @@ def loss_and_grads(encoder, decoder, spec: ModelSpec, batch: np.ndarray, eps_noi
         else:
             gt = layer.backward(gt)
 
-    grads = {}
-    for prefix, group in (("enc", encoder), ("dec", decoder)):
-        for i, layer in enumerate(group):
-            for pname, garr in layer.grads.items():
-                grads[f"{prefix}.{i}.{pname}"] = garr
+    grads = {name: layer.grads[key]
+             for name, layer, key in named_arrays(encoder, decoder, stored=False)}
     return float(total), float(recon), float(kl), grads
 
 
@@ -121,15 +119,6 @@ class SGD:
             p -= (self.lr * grads[name]).astype(p.dtype)
 
 
-def _trainable_params(encoder, decoder):
-    out = {}
-    for prefix, group in (("enc", encoder), ("dec", decoder)):
-        for i, layer in enumerate(group):
-            for pname, arr in layer.params.items():
-                out[f"{prefix}.{i}.{pname}"] = arr
-    return out
-
-
 def train(spec: ModelSpec, images, opts: TrainOpts = TrainOpts(),
           metadata: dict | None = None) -> DetectorModel:
     """Train an encoder/decoder pair; deterministic for a fixed seed.
@@ -148,7 +137,8 @@ def train(spec: ModelSpec, images, opts: TrainOpts = TrainOpts(),
 
     encoder = build_encoder(spec, init_rng)
     decoder = build_decoder(spec, init_rng)
-    params = _trainable_params(encoder, decoder)
+    params = {name: layer.params[key]
+              for name, layer, key in named_arrays(encoder, decoder, stored=False)}
     opt = Adam(opts.lr) if opts.optimizer == "adam" else SGD(opts.lr)
 
     n = data.shape[0]

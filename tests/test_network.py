@@ -1,3 +1,6 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -13,6 +16,7 @@ from oodkit.network import (
     fold_batchnorm,
     load_model,
     mig_from_latents,
+    model_checksum,
     of_encoder_spec,
     quantize_model,
     save_model,
@@ -140,11 +144,61 @@ def test_var_parametrization_spans_both_sides():
     assert vars_seen.min() < 1.0 < vars_seen.max()
 
 
+def describe(layer):
+    """A layer as text: its type, parameter shapes and geometry."""
+    parts = [type(layer).__name__]
+    parts += ["x".join(map(str, arr.shape)) for arr in layer.params.values()]
+    for attr in ("stride", "padding", "target_hw", "chw"):
+        if hasattr(layer, attr):
+            parts.append(f"{attr}={getattr(layer, attr)}")
+    return " ".join(parts)
+
+
+def _bvae_blocks(blocks):
+    """The mirror of bvae conv blocks (last block first), input to output."""
+    out = []
+    for conv, target in blocks:
+        out += [f"Upsample target_hw={target}", "ReLU", f"{conv} stride=1 padding=1"]
+    return out
+
+
+DECODERS = {
+    "bvae6_1block": (bvae_spec(6, 6, 1, n_latent=2), [
+        "Dense 2x128 128", "ReLU", "Dense 128x144 144", "Unflatten chw=(16, 3, 3)",
+    ] + _bvae_blocks([("Conv2D 1x16x3x3 1", (6, 6))])),
+    "bvae12_2blocks": (bvae_spec(12, 12, 1, n_latent=3), [
+        "Dense 3x128 128", "ReLU", "Dense 128x144 144", "Unflatten chw=(16, 3, 3)",
+    ] + _bvae_blocks([("Conv2D 16x16x3x3 16", (6, 6)), ("Conv2D 1x16x3x3 1", (12, 12))])),
+    "bvae24_3blocks": (bvae_spec(24, 24, 3, n_latent=4), [
+        "Dense 4x128 128", "ReLU", "Dense 128x72 72", "Unflatten chw=(8, 3, 3)",
+    ] + _bvae_blocks([("Conv2D 16x8x3x3 16", (6, 6)), ("Conv2D 16x16x3x3 16", (12, 12)),
+                      ("Conv2D 3x16x3x3 3", (24, 24))])),
+    "bvae48_4blocks": (bvae_spec(48, 48, 3, n_latent=16), [
+        "Dense 16x128 128", "ReLU", "Dense 128x72 72", "Unflatten chw=(8, 3, 3)",
+    ] + _bvae_blocks([("Conv2D 8x8x3x3 8", (6, 6)), ("Conv2D 16x8x3x3 16", (12, 12)),
+                      ("Conv2D 16x16x3x3 16", (24, 24)), ("Conv2D 3x16x3x3 3", (48, 48))])),
+    "flow": (of_encoder_spec(48, 64, 6), [
+        "Dense 12x32 32", "Unflatten chw=(32, 1, 1)",
+        "ReLU", "BatchNorm2D 32 32", "Upsample target_hw=(2, 3)",
+        "Conv2D 16x32x5x5 16 stride=1 padding=2",
+        "ReLU", "BatchNorm2D 16 16", "Upsample target_hw=(6, 8)",
+        "Conv2D 16x16x5x5 16 stride=1 padding=2",
+        "ReLU", "BatchNorm2D 16 16", "Upsample target_hw=(16, 22)",
+        "Conv2D 8x16x5x5 8 stride=1 padding=2",
+        "ReLU", "BatchNorm2D 8 8", "Upsample target_hw=(48, 64)",
+        "Conv2D 6x8x5x5 6 stride=1 padding=2"]),
+}
+
+
 def test_decoder_mirror_geometry():
-    for spec in (bvae_spec(24, 24, 3, n_latent=4), of_encoder_spec(48, 64, 6)):
+    """The decoder is the encoder reversed: dense layers and convolutions
+    restore each encoder layer's input, nearest upsampling undoes each
+    resolution drop, and the head's trailing ReLU is dropped."""
+    for name, (spec, want) in DECODERS.items():
         model = random_model(spec, seed=1)
+        assert [describe(layer) for layer in model.decoder] == want, name
         out = model.decode(np.zeros(spec.n_latent, np.float32))
-        assert out.shape == (spec.in_channels,) + tuple(spec.input_hw)
+        assert out.shape == (spec.in_channels,) + tuple(spec.input_hw), name
 
 
 def test_decoder_zero_weights_constant_output():
@@ -307,7 +361,7 @@ def test_quantize_zero_weights_map_to_zero_point():
         for k in layer.params:
             layer.params[k] = np.zeros_like(layer.params[k])
     q = quantize_model(m, train_images(8))
-    for name, t in q.quant_weights.items():
+    for name, t in q.quantized.weights.items():
         if name.endswith(".w"):
             assert np.all(t.data == t.quant.zero_point)
 
@@ -327,17 +381,17 @@ def test_quantized_latents_close_to_f32():
 
 
 def test_f16_cast_roundtrip_and_deviation():
-    m = trained_tiny(seed=5)
+    m = trained_tiny(seed=5)  # batchnorm in encoder and decoder, trained statistics
     h = cast_model_f16(m)
-    for la, lb in zip(m.encoder, h.encoder):
-        for k in la.params:
-            # f16 is a storage precision: float32 values exact in binary16
-            assert lb.params[k].dtype == np.float32
-            assert np.array_equal(lb.params[k], lb.params[k].astype(np.float16))
-            fine = np.abs(la.params[k]) > 1e-4
-            rel = np.abs(la.params[k] - lb.params[k].astype(np.float32))[fine]
-            if rel.size:
-                assert np.all(rel / np.abs(la.params[k])[fine] <= 2**-11 + 1e-9)
+    got, want = h.named_params(), m.named_params()
+    names = [name for name, _ in want]
+    assert [name for name, _ in got] == names
+    assert {"enc.1.running_mean", "enc.1.running_var", "dec.4.running_var", "dec.5.w"} <= set(names)
+    assert not np.array_equal(m.encoder[1].running_var, np.ones(2, np.float32))
+    for (name, a), (_, b) in zip(got, want):
+        # f16 is a storage precision: each stored array rounded through binary16, as float32
+        assert a.dtype == np.float32, name
+        assert np.array_equal(a, b.astype(np.float16).astype(np.float32)), name
     xs = train_images(10, seed=6)
     mu_f, _ = m.encode_batch(xs)
     mu_h, _ = h.encode_batch(xs)
@@ -383,6 +437,66 @@ def test_save_load_errors():
     bad = edit_header(raw, lambda h: h["spec"]["layers"][0].update(kind="mystery"))
     with pytest.raises(OodmError, match="mystery"):
         load_model(bad)
+
+
+@pytest.fixture(scope="module")
+def float_files():
+    m = trained_tiny()
+    return {"f32": save_model(m), "f16": save_model(cast_model_f16(m))}
+
+
+def _drop_tensor(name):
+    return lambda header: header["tensors"].remove(
+        next(e for e in header["tensors"] if e["name"] == name))
+
+
+def _shrink_tensor(name):
+    def edit(header):
+        next(e for e in header["tensors"] if e["name"] == name)["shape"][0] -= 1
+    return edit
+
+
+@pytest.mark.parametrize("precision", ["f32", "f16"])
+@pytest.mark.parametrize("name", ["enc.0.w", "enc.1.running_var", "dec.4.running_var", "dec.5.b"])
+@pytest.mark.parametrize("edit,message", [(_drop_tensor, "missing tensor '{}'"),
+                                          (_shrink_tensor, "tensor '{}' has shape")],
+                         ids=["missing", "misshaped"])
+def test_load_refuses_bad_float_file(float_files, precision, name, edit, message):
+    raw = float_files[precision]
+    assert load_model(edit_header(raw, lambda h: None)).precision == precision
+    with pytest.raises(OodmError, match=re.escape(message.format(name))):
+        load_model(edit_header(raw, edit(name)))
+
+
+def _double_tensor_scale(header):
+    next(e for e in header["tensors"] if e["name"] == "enc.0.w")["scale"] *= 2
+
+
+def _double_site_scale(header):
+    header["activation_quant"]["out.0"][0] *= 2
+
+
+def _move_site_zero_point(header):
+    header["activation_quant"]["out.0"][1] = 100  # leaves too few codes above it
+
+
+def test_checksum_covers_every_stored_value():
+    """A float model's checksum is the CRC32 of its payload, which its file
+    ends with. A qint8 model's also covers what its header stores of the
+    quantization: each tensor's scale and zero point, and the activation
+    sites. Each edit below keeps the payload and changes the scores."""
+    m = trained_tiny(3)
+    for model in (m, cast_model_f16(m)):
+        raw = save_model(model)
+        assert model_checksum(model) == f"{struct.unpack('<I', raw[-4:])[0]:08x}"
+    q = load_model(save_model(quantize_model(m, train_images(12))))
+    raw = save_model(q)
+    xs = train_images(6, seed=4)
+    mu = q.encode_batch(xs)[0]
+    for edit in (_double_tensor_scale, _double_site_scale, _move_site_zero_point):
+        edited = load_model(edit_header(raw, edit))
+        assert not np.array_equal(edited.encode_batch(xs)[0], mu), edit.__name__
+        assert model_checksum(edited) != model_checksum(q), edit.__name__
 
 
 @pytest.mark.parametrize("edit", [lambda layer: layer.pop("kernel"),
@@ -456,8 +570,8 @@ def test_quantized_path_matches_f32_at_fine_scales():
     wq = np.round(w / s_w).astype(np.int8)
     in_qp = QuantParams(1e-3, 0)
     out_qp = QuantParams(1e-3, 0)
-    enc = QuantizedEncoder(in_qp, [_QFlatten(), _QDense(wq, s_w, b, in_qp, out_qp, emit_f32=True),
-                                   _QRelu(0)])
+    enc = QuantizedEncoder({}, {"input": (1e-3, 0)},
+                           [_QFlatten(), _QDense(wq, s_w, b, in_qp, out_qp, emit_f32=True), _QRelu(0)])
     q_out = enc.forward(x.astype(np.float32)[:, :, None, None])  # (N, C, 1, 1) images
     assert np.allclose(q_out, f32_out, atol=1e-5)
 
@@ -747,8 +861,8 @@ class RefQuantizedEncoder:
 
     def __init__(self, qmodel):
         from oodkit.network.quantize import _QRelu
-        spec, weights = qmodel.spec, qmodel.quant_weights
-        self.qps = {k: QuantParams(s, z) for k, (s, z) in qmodel.quant_sites.items()}
+        spec, weights = qmodel.spec, qmodel.quantized.weights
+        self.qps = {k: QuantParams(s, z) for k, (s, z) in qmodel.quantized.sites.items()}
         last_dense = max(i for i, ls in enumerate(spec.layers) if ls.kind == "dense")
         self.ops = []
         site = "input"
@@ -796,8 +910,8 @@ def test_quantized_plan_rounds_ties_like_int64_reference():
     rng = np.random.default_rng(42)
     q = quantize_model(random_model(spec, 43), rng.uniform(0, 1, (16, 1, 12, 12)).astype(np.float32))
     weights = {name: Tensor.qint8(t.data, QuantParams(2.0**-6, 0)) if t.quant
-               else Tensor.f32(np.round(t.data * 64) / 64) for name, t in q.quant_weights.items()}
-    sites = {name: (2.0**-3, zp) for name, (_, zp) in q.quant_sites.items()}
+               else Tensor.f32(np.round(t.data * 64) / 64) for name, t in q.quantized.weights.items()}
+    sites = {name: (2.0**-3, zp) for name, (_, zp) in q.quantized.sites.items()}
     tied = rebuild_quantized(spec, weights, sites, {})
     xs = (rng.integers(0, 32, (40, 1, 12, 12)) / 32).astype(np.float32)
     want = RefQuantizedEncoder(tied).forward(xs)

@@ -15,8 +15,8 @@ from oodkit.dataset import (
 )
 from oodkit.gasearch import Genome
 from oodkit.imaging import SceneParams
-from oodkit.network import TrainOpts
-from oodkit.oodcore import CalibrationMismatchError, PostprocessConfig
+from oodkit.network import TrainOpts, model_checksum, quantize_model
+from oodkit.oodcore import CalibrationMismatchError, PostprocessConfig, build_calibration
 from oodkit.optflow import FarnebackParams, farneback_flow, stack_flows
 from oodkit.workflow import (
     BvaeBundle,
@@ -96,6 +96,25 @@ def test_bundle_refuses_another_models_calibration(bvae_ctx):
     assert other.calib.precision_tag == bundle.model.precision
     with pytest.raises(CalibrationMismatchError, match="model checksum"):
         BvaeBundle(genome, bundle.model, other.calib, bundle.postprocess)
+
+
+def test_bundle_refuses_a_calibration_of_another_quantization(bvae_ctx):
+    """One f32 model quantized on two input sets: the int8 weights are equal,
+    the activation sites are not, and neither the checksums nor the bundles
+    mix them up."""
+    genome = Genome("bvae", (16, 16), "bilinear", color="gray")
+    model = bvae_bundle_for_genome(genome, bvae_ctx).model
+    [calib] = workflow.encoder_inputs(genome, bvae_ctx.calib_images)
+    [train] = workflow.encoder_inputs(genome, bvae_ctx.train_images)
+    qa, qb = quantize_model(model, calib), quantize_model(model, train)
+    assert qa.quantized.weights.keys() == qb.quantized.weights.keys()
+    for name, t in qa.quantized.weights.items():
+        assert np.array_equal(t.data, qb.quantized.weights[name].data), name
+    assert model_checksum(qa) != model_checksum(qb)
+    calib_b = build_calibration(qb, calib, bvae_ctx.postprocess)
+    BvaeBundle(genome, qb, calib_b, bvae_ctx.postprocess)
+    with pytest.raises(CalibrationMismatchError, match="model checksum"):
+        BvaeBundle(genome, qa, calib_b, bvae_ctx.postprocess)
 
 
 def test_evaluate_streams_requires_id():
