@@ -92,6 +92,8 @@ def infer_shapes(spec: ModelSpec):
                 raise ValueError(f"layer {i}: conv2d collapses {h}x{w} to {oh}x{ow}")
             shape = (ls.out_channels, oh, ow)
         elif kind == "maxpool2d":
+            if len(shape) != 3:
+                raise ValueError(f"layer {i}: maxpool2d needs (C,H,W) input, got {shape}")
             c, h, w = shape
             oh, ow = h // ls.kernel, w // ls.kernel
             if oh < 1 or ow < 1:

@@ -73,8 +73,11 @@ def _spec_from_json(d) -> ModelSpec:
             layers.append(_SPEC_KINDS[kind](**fields))
         except TypeError as exc:  # a missing or an unknown field
             raise OodmError(f"layer {i}: bad {kind} record: {exc}") from exc
-    return ModelSpec(tuple(d["input_hw"]), d["in_channels"], tuple(layers),
-                     d["n_latent"], d["beta"], d["variance_parametrization"])
+    try:
+        return ModelSpec(tuple(d["input_hw"]), d["in_channels"], tuple(layers),
+                         d["n_latent"], d["beta"], d["variance_parametrization"])
+    except ValueError as exc:  # an inconsistent shape chain or a bad field value
+        raise OodmError(f"bad model spec: {exc}") from exc
 
 
 def _stored_arrays(model: DetectorModel):

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .imaging import LUMA_WEIGHTS, Image
 
@@ -85,12 +84,23 @@ def _edge_index(length: int, n: int) -> np.ndarray:
     return _frozen(np.clip(np.arange(-n, length + n), 0, length - 1))
 
 
+def _along(axis: int, start, stop) -> tuple:
+    """Index of the samples start:stop along axis."""
+    return (slice(None),) * axis + (slice(start, stop),)
+
+
 def _correlate_axis(arr: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
+    """Correlation along one axis, borders replicated: the float64 sum of
+    kernel[t] * padded[t:t + n], taken in ascending tap order."""
+    n = arr.shape[axis]
     # the gather builds the same array as np.pad(mode="edge") without its
-    # per-call overhead, so the matmul sees identical operands
-    padded = np.take(arr, _edge_index(arr.shape[axis], len(kernel) // 2), axis=axis)
-    win = sliding_window_view(padded, len(kernel), axis=axis)
-    return win @ kernel
+    # per-call overhead; the cast keeps float32 input summed in float64
+    padded = np.take(arr, _edge_index(n, len(kernel) // 2), axis=axis)
+    padded = padded.astype(np.float64, copy=False)
+    out = kernel[0] * padded[_along(axis, 0, n)]
+    for t in range(1, len(kernel)):
+        out += kernel[t] * padded[_along(axis, t, t + n)]
+    return out
 
 
 def _poly_channels(f: np.ndarray, poly_n: int, poly_sigma: float):
@@ -179,10 +189,12 @@ def _update_matrices(r0: np.ndarray, r1: np.ndarray, flow: np.ndarray) -> np.nda
     a01 = (tx * (1 - ty))[..., None]
     a10 = ((1 - tx) * ty)[..., None]
     a11w = (tx * ty)[..., None]
-    r1w = (a00 * r1[y1c, x1c] + a01 * r1[y1c, x1c + 1]
-           + a10 * r1[y1c + 1, x1c] + a11w * r1[y1c + 1, x1c + 1])
+    # the four neighbours, gathered from the (h*w, 5) view at flat indices
+    r1f = r1.reshape(h * w, 5)
+    i00 = y1c * w + x1c
+    r1w = (a00 * np.take(r1f, i00, axis=0) + a01 * np.take(r1f, i00 + 1, axis=0)
+           + a10 * np.take(r1f, i00 + w, axis=0) + a11w * np.take(r1f, i00 + w + 1, axis=0))
 
-    vm = valid[..., None]
     byw = np.where(valid, r1w[..., 0], 0.0)
     bxw = np.where(valid, r1w[..., 1], 0.0)
     r4 = np.where(valid, (r0[..., 2] + r1w[..., 2]) * 0.5, r0[..., 2])
@@ -209,18 +221,21 @@ def _update_matrices(r0: np.ndarray, r1: np.ndarray, flow: np.ndarray) -> np.nda
 
 
 def _box_filter(arr: np.ndarray, win: int) -> np.ndarray:
-    k = np.full(win, 1.0 / win)
-    out = _correlate_axis(arr, k, axis=0)
-    return _correlate_axis(out, k, axis=1)
+    """Mean over the win x win window of each pixel, borders replicated: along
+    each axis, a float64 running sum S over the edge-padded samples (S[0] = 0)
+    gives (S[i + win] - S[i]) / win (Crow 1984, summed-area tables)."""
+    out = arr
+    for axis in (0, 1):
+        n = out.shape[axis]
+        padded = np.take(out, _edge_index(n, win // 2), axis=axis)
+        s = np.zeros(padded.shape[:axis] + (n + win,) + padded.shape[axis + 1:])
+        np.cumsum(padded, axis=axis, dtype=np.float64, out=s[_along(axis, 1, None)])
+        out = (s[_along(axis, win, None)] - s[_along(axis, None, n)]) / win
+    return out
 
 
 def _update_flow(m: np.ndarray, window_size: int) -> np.ndarray:
-    mb = _box_filter(m, window_size)
-    g11 = mb[..., 0].astype(np.float64)
-    g12 = mb[..., 1].astype(np.float64)
-    g22 = mb[..., 2].astype(np.float64)
-    h1 = mb[..., 3].astype(np.float64)
-    h2 = mb[..., 4].astype(np.float64)
+    g11, g12, g22, h1, h2 = np.moveaxis(_box_filter(m, window_size), -1, 0)
     # +lambda*I keeps the solve finite on textureless regions
     lam = 1e-6 * (g11 + g22) + 1e-12
     g11 = g11 + lam
@@ -244,16 +259,11 @@ def _resize_bilinear_f32(arr: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     x1 = np.minimum(x0 + 1, w - 1)
     fy = (ys - y0).astype(np.float32)
     fx = (xs - x0).astype(np.float32)
-    if arr.ndim == 3:
-        fy = fy[:, None, None]
-        fx = fx[None, :, None]
-        top = arr[y0][:, x0] * (1 - fx) + arr[y0][:, x1] * fx
-        bot = arr[y1][:, x0] * (1 - fx) + arr[y1][:, x1] * fx
-    else:
-        fy = fy[:, None]
-        fx = fx[None, :]
-        top = arr[y0][:, x0] * (1 - fx) + arr[y0][:, x1] * fx
-        bot = arr[y1][:, x0] * (1 - fx) + arr[y1][:, x1] * fx
+    # weights broadcast over the rows, columns and any trailing channel axis
+    fy = fy.reshape((out_h,) + (1,) * (arr.ndim - 1))
+    fx = fx.reshape((out_w,) + (1,) * (arr.ndim - 2))
+    top = arr[y0][:, x0] * (1 - fx) + arr[y0][:, x1] * fx
+    bot = arr[y1][:, x0] * (1 - fx) + arr[y1][:, x1] * fx
     return (top * (1 - fy) + bot * fy).astype(np.float32)
 
 

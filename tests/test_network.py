@@ -114,6 +114,8 @@ def test_spec_validation():
         tiny_spec(beta=-1.0)
     with pytest.raises(ValueError):
         ModelSpec((8, 8), 1, (FlattenSpec(), DenseSpec(4)), 2, 1.0, "bogus")
+    with pytest.raises(ValueError, match=re.escape("layer 1: maxpool2d needs (C,H,W) input")):
+        ModelSpec((8, 8), 1, (FlattenSpec(), MaxPoolSpec(2), DenseSpec(4)), 2, 1.0, VAR)
 
 
 def random_model(spec, seed=0):
@@ -507,6 +509,16 @@ def test_load_refuses_malformed_layer_record(edit):
     assert load_model(raw).spec.layers[0].kind == "conv2d"
     bad = edit_header(raw, lambda h: edit(h["spec"]["layers"][0]))
     with pytest.raises(OodmError, match="layer 0"):
+        load_model(bad)
+
+
+def test_load_refuses_maxpool_after_flatten():
+    raw = save_model(trained_tiny())
+    layers = load_model(raw).spec.layers
+    assert [ls.kind for ls in layers[4:6]] == ["flatten", "dense"]
+    pool = {"kind": "maxpool2d", "kernel": 2}
+    bad = edit_header(raw, lambda h: h["spec"]["layers"].insert(5, pool))
+    with pytest.raises(OodmError, match=re.escape("layer 5: maxpool2d needs (C,H,W) input")):
         load_model(bad)
 
 

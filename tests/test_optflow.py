@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,11 @@ from oodkit.imaging import Image
 from oodkit.optflow import (
     FarnebackParams,
     FlowField,
+    _border_scale,
+    _box_filter,
+    _correlate_axis,
     _poly_channels,
+    _update_matrices,
     expand_frame,
     farneback_flow,
     stack_flows,
@@ -85,6 +91,129 @@ def test_poly_expansion_quadratic_matches_lsq_oracle():
     assert pe["axx"][cy, cx] == pytest.approx(coef[3], abs=1e-3)
     assert pe["axx"][cy, cx] == pytest.approx(1.0, abs=1e-3)
     assert pe["ayy"][cy, cx] == pytest.approx(0.0, abs=1e-3)
+
+
+# kernels are bounded against exact float64 references: within 1e-12 of the
+# largest input magnitude
+KERNEL_TOL = 1e-12
+
+
+def correlate_reference(arr, kernel, axis):
+    """Edge-padded correlation along axis, one output line at a time, each
+    tap sum taken exactly (math.fsum) over float64 inputs."""
+    r = len(kernel) // 2
+    pad = [(0, 0)] * arr.ndim
+    pad[axis] = (r, r)
+    padded = np.moveaxis(np.pad(np.asarray(arr, np.float64), pad, mode="edge"), axis, 0)
+    out = np.empty((arr.shape[axis],) + padded.shape[1:])
+    for i in range(out.shape[0]):
+        for idx in np.ndindex(*out.shape[1:]):
+            out[(i,) + idx] = math.fsum(kernel[t] * padded[(i + t,) + idx]
+                                        for t in range(len(kernel)))
+    return np.moveaxis(out, 0, axis)
+
+
+def box_reference(arr, win):
+    """Mean of each pixel's win x win edge-padded window in every channel
+    of an (H, W, C) array, summed exactly."""
+    r = win // 2
+    pad = [(r, r), (r, r), (0, 0)]
+    padded = np.pad(np.asarray(arr, np.float64), pad, mode="edge")
+    out = np.empty(arr.shape)
+    for i, j in np.ndindex(*arr.shape[:2]):
+        window = padded[i:i + win, j:j + win].reshape(win * win, -1)
+        out[i, j] = [math.fsum(col) / (win * win) for col in window.T]
+    return out
+
+
+def gauss_kernel(taps, sigma):
+    xs = np.arange(-(taps // 2), taps // 2 + 1, dtype=np.float64)
+    k = np.exp(-(xs**2) / (2 * sigma**2))
+    return k / k.sum(), xs * k / k.sum()
+
+
+@pytest.mark.parametrize("shape", [(12, 17), (9, 14, 5)], ids=["2d", "3d"])
+@pytest.mark.parametrize("taps,sigma", [(5, 1.1), (9, 1.5)])
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_correlate_axis_matches_bruteforce(shape, taps, sigma, axis, dtype):
+    rng = np.random.default_rng(taps + axis)
+    arr = (rng.standard_normal(shape) * 40 + 100).astype(dtype)
+    for kernel in gauss_kernel(taps, sigma):  # a smoothing and a zero-sum kernel
+        got = _correlate_axis(arr, kernel, axis)
+        assert got.dtype == np.float64 and got.shape == arr.shape
+        err = np.abs(got - correlate_reference(arr, kernel, axis)).max()
+        assert err <= KERNEL_TOL * np.abs(arr).max()
+
+
+@pytest.mark.parametrize("shape", [(12, 30, 5), (20, 12, 5), (12, 12, 5), (31, 40, 5)],
+                         ids=["short_rows", "short_cols", "short_both", "larger"])
+def test_box_filter_matches_bruteforce(shape):
+    rng = np.random.default_rng(len(shape) + shape[0])
+    arr = (rng.standard_normal(shape) * 1e3).astype(np.float32)
+    got = _box_filter(arr, 15)
+    assert got.dtype == np.float64 and got.shape == arr.shape
+    err = np.abs(got - box_reference(arr, 15)).max()
+    assert err <= KERNEL_TOL * np.abs(arr).max()
+
+
+def update_matrices_fancy_index(r0, r1, flow):
+    """_update_matrices with its bilinear neighbours read by 2-D fancy
+    indexing r1[y, x]: the oracle of the flat-index gather."""
+    h, w = flow.shape[:2]
+    u = flow[..., 0]
+    v = flow[..., 1]
+    gy, gx = np.mgrid[0:h, 0:w]
+    fx = gx + u
+    fy = gy + v
+    x1 = np.floor(fx).astype(np.int64)
+    y1 = np.floor(fy).astype(np.int64)
+    valid = (fx >= 0) & (fx <= w - 1) & (fy >= 0) & (fy <= h - 1)
+    x1c = np.clip(x1, 0, w - 2)
+    y1c = np.clip(y1, 0, h - 2)
+    tx = (fx - x1c).astype(np.float32)
+    ty = (fy - y1c).astype(np.float32)
+
+    a00 = ((1 - tx) * (1 - ty))[..., None]
+    a01 = (tx * (1 - ty))[..., None]
+    a10 = ((1 - tx) * ty)[..., None]
+    a11w = (tx * ty)[..., None]
+    r1w = (a00 * r1[y1c, x1c] + a01 * r1[y1c, x1c + 1]
+           + a10 * r1[y1c + 1, x1c] + a11w * r1[y1c + 1, x1c + 1])
+
+    byw = np.where(valid, r1w[..., 0], 0.0)
+    bxw = np.where(valid, r1w[..., 1], 0.0)
+    r4 = np.where(valid, (r0[..., 2] + r1w[..., 2]) * 0.5, r0[..., 2])
+    r5 = np.where(valid, (r0[..., 3] + r1w[..., 3]) * 0.5, r0[..., 3])
+    r6 = np.where(valid, (r0[..., 4] + r1w[..., 4]) * 0.25, r0[..., 4] * 0.5)
+
+    r2 = (r0[..., 0] - byw) * 0.5 + r4 * v + r6 * u
+    r3 = (r0[..., 1] - bxw) * 0.5 + r6 * v + r5 * u
+
+    scale = _border_scale(h, w)
+    r2, r3, r4, r5, r6 = (x * scale for x in (r2, r3, r4, r5, r6))
+
+    m = np.empty((h, w, 5), dtype=np.float32)
+    m[..., 0] = r4 * r4 + r6 * r6
+    m[..., 1] = (r4 + r5) * r6
+    m[..., 2] = r5 * r5 + r6 * r6
+    m[..., 3] = r4 * r2 + r6 * r3
+    m[..., 4] = r6 * r2 + r5 * r3
+    return m
+
+
+@pytest.mark.parametrize("h,w", [(12, 16), (24, 32), (7, 5)])
+def test_update_matrices_bit_equal_to_fancy_index(h, w):
+    rng = np.random.default_rng(h * w)
+    r0 = rng.standard_normal((h, w, 5)).astype(np.float32)
+    r1 = rng.standard_normal((h, w, 5)).astype(np.float32)
+    # fractional, whole-pixel (far edges sampled exactly) and off-image shifts
+    flows = [rng.uniform(-3, 3, (h, w, 2)), np.round(rng.uniform(-2, 2, (h, w, 2))),
+             np.zeros((h, w, 2)), np.full((h, w, 2), 50.0)]
+    for flow in flows:
+        flow = flow.astype(np.float32)
+        assert np.array_equal(_update_matrices(r0, r1, flow),
+                              update_matrices_fancy_index(r0, r1, flow))
 
 
 def test_flow_identical_frames():
