@@ -12,6 +12,7 @@ import numpy as np
 from .fileio import write_atomic
 from .gasearch import BVAE, OPTFLOW
 from .imaging import (
+    MAX_STRENGTH,
     Image,
     SceneParams,
     adjust_brightness,
@@ -32,6 +33,17 @@ class FactorRanges:
     of_level: float = 0.003             # rain/snow strength for flow OOD frames
 
     def validate(self):
+        # the ranges the rain and brightness operators accept
+        for name, (lo, hi) in (("rain_id", (0.0, MAX_STRENGTH)),
+                               ("rain_ood", (0.0, MAX_STRENGTH)),
+                               ("brightness_id", (-1.0, 1.0)),
+                               ("brightness_ood", (-1.0, 1.0))):
+            bounds = getattr(self, name)
+            low, high = bounds
+            if low > high:
+                raise ValueError(f"{name} {bounds} has low > high")
+            if low < lo or high > hi:
+                raise ValueError(f"{name} {bounds} is outside [{lo}, {hi}]")
         if self.rain_id[1] >= self.rain_ood[0]:
             raise ValueError(
                 f"rain ID range {self.rain_id} overlaps OOD range {self.rain_ood}")
@@ -40,8 +52,8 @@ class FactorRanges:
             raise ValueError(
                 f"brightness ID range {self.brightness_id} overlaps OOD range "
                 f"+/-{self.brightness_ood}")
-        if not 0 < self.of_level <= 0.01:
-            raise ValueError(f"flow OOD level out of (0, 0.01]: {self.of_level}")
+        if not 0 < self.of_level <= MAX_STRENGTH:
+            raise ValueError(f"flow OOD level out of (0, {MAX_STRENGTH}]: {self.of_level}")
 
 
 @dataclass(frozen=True)

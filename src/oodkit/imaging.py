@@ -16,6 +16,8 @@ RESIZE_METHODS = (NEAREST, BILINEAR, BICUBIC, AREA)
 
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)  # ITU-R BT.601
 
+MAX_STRENGTH = 0.01  # the largest rain or snow strength
+
 
 class PnmError(ValueError):
     pass
@@ -43,7 +45,7 @@ class Image:
         if arr.ndim == 2:
             arr = arr[:, :, None]
         if arr.ndim != 3 or arr.shape[2] not in (1, 3):
-            raise ValueError(f"expected HxWx{{1,3}} pixel array, got shape {pixels.shape}")
+            raise ValueError(f"expected HxWx{{1,3}} pixel array, got shape {arr.shape}")
         arr.flags.writeable = False
         object.__setattr__(self, "pixels", arr)
 
@@ -227,13 +229,36 @@ def adjust_brightness(img: Image, factor: float) -> Image:
 # ---------------------------------------------------------------------------
 # OOD augmentations
 
-def _blend_line(canvas: np.ndarray, x0: float, y0: float, dx: float, dy: float,
-                length: int, value: float, alpha: float):
-    h, w = canvas.shape[:2]
-    ts = np.arange(length)
-    xs = np.clip(np.round(x0 + ts * dx).astype(int), 0, w - 1)
-    ys = np.clip(np.round(y0 + ts * dy).astype(int), 0, h - 1)
-    canvas[ys, xs] = (1 - alpha) * canvas[ys, xs] + alpha * value
+# Each augmentation draws its streaks or discs one at a time, in a fixed order,
+# then rasterizes and blends them all at once. The result equals, bit for bit,
+# blending them one by one in draw order.
+
+_RAIN_ANGLES = (np.deg2rad(55), np.deg2rad(80))  # steep, mostly vertical
+_SNOW_BOX = 6  # a disc of radius < 2 lies in the 6x6 pixels from floor(centre - r)
+
+
+def _blend_hits(pixels: np.ndarray, pix: np.ndarray, values: np.ndarray,
+                alpha: float) -> np.ndarray:
+    """The (h, w, c) uint8 frame `pixels` with `values` blended into its flat
+    pixel indices `pix`: (1 - alpha) * pixel + alpha * value, then rounded.
+
+    Hits come in draw order, and one streak or disc hits a pixel at most once.
+    A pixel's hits are applied in that order: each pass blends the first
+    pending hit of every pixel, so no pass writes one pixel twice."""
+    h, w, c = pixels.shape
+    flat = pixels.reshape(h * w, c)
+    canvas = flat.astype(np.float64)
+    pending = np.argsort(pix, kind="stable")  # grouped by pixel, each group in draw order
+    sorted_pix = pix[pending]
+    while len(pending):
+        first = np.ones(len(pending), bool)
+        first[1:] = sorted_pix[1:] != sorted_pix[:-1]
+        p = sorted_pix[first]
+        canvas[p] = (1 - alpha) * canvas[p] + (alpha * values[pending[first]])[:, None]
+        pending, sorted_pix = pending[~first], sorted_pix[~first]
+    out = flat.copy()
+    out[pix] = _round_u8(canvas[pix])  # rounding leaves every pixel no hit changed
+    return out.reshape(h, w, c)
 
 
 def augment_rain(img: Image, strength: float, seed: int) -> Image:
@@ -243,48 +268,49 @@ def augment_rain(img: Image, strength: float, seed: int) -> Image:
     fixed number of draws from the seeded generator, so renders at increasing
     strength share their leading streaks.
     """
-    if not 0.0 <= strength <= 0.01:
-        raise ValueError(f"rain strength out of [0, 0.01]: {strength}")
+    if not 0.0 <= strength <= MAX_STRENGTH:
+        raise ValueError(f"rain strength out of [0, {MAX_STRENGTH}]: {strength}")
     count = int(round(strength * img.width * img.height))
     if count == 0:
         return img
     rng = np.random.default_rng(np.random.PCG64(seed))
-    canvas = img.pixels.astype(np.float64).copy()
-    base_len = max(img.height // 4, 6)
-    for _ in range(count):
-        x0 = rng.uniform(0, img.width)
-        y0 = rng.uniform(0, img.height)
-        length = int(rng.integers(base_len, base_len * 2))
-        angle = rng.uniform(np.deg2rad(55), np.deg2rad(80))  # steep, mostly vertical
-        value = rng.uniform(200, 245)
-        _blend_line(canvas, x0, y0, np.cos(angle), np.sin(angle), length, value, alpha=0.65)
-    return Image(_round_u8(canvas))
+    h, w = img.height, img.width
+    base_len = max(h // 4, 6)
+    x0, y0, length, angle, value = np.array(
+        [(rng.uniform(0, w), rng.uniform(0, h), rng.integers(base_len, base_len * 2),
+          rng.uniform(*_RAIN_ANGLES), rng.uniform(200, 245)) for _ in range(count)]).T
+    ts = np.arange(2 * base_len - 1)  # up to the longest length the draw allows
+    xs = np.clip(np.round(x0[:, None] + ts * np.cos(angle)[:, None]).astype(int), 0, w - 1)
+    ys = np.clip(np.round(y0[:, None] + ts * np.sin(angle)[:, None]).astype(int), 0, h - 1)
+    pix = ys * w + xs
+    keep = ts < length[:, None]
+    # a streak runs right and down, so the pixels it repeats are adjacent
+    keep[:, 1:] &= pix[:, 1:] != pix[:, :-1]
+    return Image(_blend_hits(img.pixels, pix[keep],
+                             np.broadcast_to(value[:, None], pix.shape)[keep], alpha=0.65))
 
 
 def augment_snow(img: Image, strength: float, seed: int) -> Image:
     """Superimpose small bright discs; same count rule and determinism as rain."""
-    if not 0.0 <= strength <= 0.01:
-        raise ValueError(f"snow strength out of [0, 0.01]: {strength}")
+    if not 0.0 <= strength <= MAX_STRENGTH:
+        raise ValueError(f"snow strength out of [0, {MAX_STRENGTH}]: {strength}")
     count = int(round(strength * img.width * img.height))
     if count == 0:
         return img
     rng = np.random.default_rng(np.random.PCG64(seed))
-    canvas = img.pixels.astype(np.float64).copy()
-    h, w = canvas.shape[:2]
-    for _ in range(count):
-        cx = rng.uniform(0, w)
-        cy = rng.uniform(0, h)
-        r = rng.uniform(0.8, 2.0)
-        value = rng.uniform(225, 250)
-        # the disc's pixels all lie in its clipped bounding box
-        x0, x1 = max(int(np.floor(cx - r)), 0), min(int(np.ceil(cx + r)) + 1, w)
-        y0, y1 = max(int(np.floor(cy - r)), 0), min(int(np.ceil(cy + r)) + 1, h)
-        xx = np.arange(x0, x1)[None, :]
-        yy = np.arange(y0, y1)[:, None]
-        mask = (xx - cx) ** 2 + (yy - cy) ** 2 <= r * r
-        box = canvas[y0:y1, x0:x1]
-        box[mask] = (1 - 0.9) * box[mask] + 0.9 * value
-    return Image(_round_u8(canvas))
+    h, w = img.height, img.width
+    cx, cy, r, value = np.array(
+        [(rng.uniform(0, w), rng.uniform(0, h), rng.uniform(0.8, 2.0), rng.uniform(225, 250))
+         for _ in range(count)]).T
+    steps = np.arange(_SNOW_BOX)
+    xx = (np.floor(cx - r).astype(int)[:, None] + steps)[:, None, :]
+    yy = (np.floor(cy - r).astype(int)[:, None] + steps)[:, :, None]
+    cx, cy, r = cx[:, None, None], cy[:, None, None], r[:, None, None]
+    mask = (((xx - cx) ** 2 + (yy - cy) ** 2 <= r * r)
+            & (xx >= 0) & (xx < w) & (yy >= 0) & (yy < h))
+    pix = yy * w + xx
+    return Image(_blend_hits(img.pixels, pix[mask],
+                             np.broadcast_to(value[:, None, None], mask.shape)[mask], alpha=0.9))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,12 @@ def test_brightness():
         adjust_brightness(img, 1.5)
 
 
+def test_image_refuses_bad_shapes():
+    for bad in ([1, 2, 3], np.zeros((2, 2, 2)), np.zeros((1, 2, 3, 4))):
+        with pytest.raises(ValueError, match="got shape"):
+            Image(bad)
+
+
 def test_augmentations_identity_and_determinism():
     base = synth_scene(0, 0, SceneParams(width=64, height=64))
     for fn in (augment_rain, augment_snow):
@@ -135,8 +143,10 @@ def test_augmentations_identity_and_determinism():
         assert fn(base, 0.005, 42) != fn(base, 0.005, 43)
 
 
-def full_frame_snow(img, strength, seed):
-    """Reference snow: every disc's mask evaluated over the whole frame."""
+def full_frame_snow(img, strength, seed, discs=None):
+    """Reference snow: every disc's mask evaluated over the whole frame and
+    blended on its own, in draw order. Each disc's mask is appended to
+    `discs` when given."""
     count = int(round(strength * img.width * img.height))
     if count == 0:
         return img
@@ -151,24 +161,77 @@ def full_frame_snow(img, strength, seed):
         value = rng.uniform(225, 250)
         mask = (xx - cx) ** 2 + (yy - cy) ** 2 <= r * r
         canvas[mask] = (1 - 0.9) * canvas[mask] + 0.9 * value
+        if discs is not None:
+            discs.append(mask)
     return Image(_round_u8(canvas))
 
 
-def test_snow_matches_full_frame_reference():
-    rng = np.random.default_rng(17)
-    hit_border = 0
-    for _ in range(150):
+def sequential_rain(img, strength, seed, streaks=None):
+    """Reference rain: each streak rasterized and blended on its own, in draw
+    order. For each streak, its set of (y, x) pixels and whether the frame
+    clipped it are appended to `streaks` when given."""
+    count = int(round(strength * img.width * img.height))
+    if count == 0:
+        return img
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    canvas = img.pixels.astype(np.float64).copy()
+    h, w = canvas.shape[:2]
+    base_len = max(img.height // 4, 6)
+    for _ in range(count):
+        x0 = rng.uniform(0, img.width)
+        y0 = rng.uniform(0, img.height)
+        length = int(rng.integers(base_len, base_len * 2))
+        angle = rng.uniform(np.deg2rad(55), np.deg2rad(80))
+        value = rng.uniform(200, 245)
+        ts = np.arange(length)
+        xr = np.round(x0 + ts * np.cos(angle)).astype(int)
+        yr = np.round(y0 + ts * np.sin(angle)).astype(int)
+        xs = np.clip(xr, 0, w - 1)
+        ys = np.clip(yr, 0, h - 1)
+        canvas[ys, xs] = (1 - 0.65) * canvas[ys, xs] + 0.65 * value
+        if streaks is not None:
+            streaks.append((set(zip(ys.tolist(), xs.tolist())),
+                            bool(np.any(xr != xs) or np.any(yr != ys))))
+    return Image(_round_u8(canvas))
+
+
+def random_frames(seed, n):
+    """(image, strength, seed) cases: 4-40 px frames of 1 or 3 channels at
+    strengths up to 0.01, a fifth of them at 0.01."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
         h, w = (int(n) for n in rng.integers(4, 41, 2))
         c = int(rng.choice([1, 3]))
         img = Image(rng.integers(0, 256, (h, w, c)).astype(np.uint8))
         strength = float(rng.uniform(0.0, 0.01)) if rng.random() < 0.8 else 0.01
-        seed = int(rng.integers(0, 2**31))
-        got, want = augment_snow(img, strength, seed), full_frame_snow(img, strength, seed)
-        assert np.array_equal(got.pixels, want.pixels), (h, w, c, strength, seed)
-        edge = np.zeros((h, w), bool)
+        yield img, strength, int(rng.integers(0, 2**31))
+
+
+def test_snow_matches_full_frame_reference():
+    hit_border = overlapped = 0
+    for img, strength, seed in random_frames(17, 150):
+        discs = []
+        got, want = augment_snow(img, strength, seed), full_frame_snow(img, strength, seed, discs)
+        assert np.array_equal(got.pixels, want.pixels), (img, strength, seed)
+        edge = np.zeros((img.height, img.width), bool)
         edge[[0, -1], :] = edge[:, [0, -1]] = True
         hit_border += bool(np.any(got.pixels != img.pixels, axis=2)[edge].any())
+        overlapped += bool(discs) and int(np.sum(discs, axis=0).max()) >= 2
     assert hit_border > 20  # discs clipped by the frame are covered
+    assert overlapped > 10  # so are pixels under two or more discs
+
+
+def test_rain_matches_sequential_reference():
+    clipped = overlapped = 0
+    for img, strength, seed in random_frames(23, 150):
+        streaks = []
+        got, want = augment_rain(img, strength, seed), sequential_rain(img, strength, seed, streaks)
+        assert np.array_equal(got.pixels, want.pixels), (img, strength, seed)
+        clipped += any(clip for _, clip in streaks)
+        hits = Counter(p for pixels, _ in streaks for p in pixels)
+        overlapped += max(hits.values(), default=0) >= 2
+    assert clipped > 20  # streaks that run off the frame are covered
+    assert overlapped > 20  # so are pixels under two or more streaks
 
 
 def test_augmentation_strength_monotone():
