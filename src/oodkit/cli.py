@@ -242,8 +242,8 @@ def cmd_sweep_delta(args, run, cfg):
 
 
 def cmd_ga_search(args, run, cfg):
-    rows, images = _dataset(run)
     bucket = bucket_from_config(cfg, args.bucket)
+    rows, images = _dataset(run)
     ga_dir = run / "ga" / args.bucket
     opts = replace(cfg.train, epochs=cfg.ga.train_epochs)
     if cfg.family == BVAE:

@@ -4,12 +4,22 @@ validation of the requirement/range invariants."""
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
-from .dataset import DatasetConfig, FactorRanges
+from .dataset import DatasetConfig
 from .fileio import write_atomic
-from .gasearch import BVAE, OPTFLOW, GAConfig, Genome
+from .gasearch import (
+    BVAE,
+    BVAE_INTERPOLATIONS,
+    GRAY,
+    OF_INTERPOLATIONS,
+    OPTFLOW,
+    RGB,
+    Bucket,
+    GAConfig,
+    Genome,
+)
 from .imaging import SceneParams
 from .network import TrainOpts
 from .network.model import VAR, VAR_PARAMS
@@ -47,7 +57,7 @@ class ExperimentConfig:
     family: str = BVAE
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     requirements: Requirements = field(default_factory=Requirements)
-    genome: Genome = None
+    genome: Genome = None  # default_config sets each family's default genome
     n_latent: int = 16
     beta: float = 1e-4
     variance_parametrization: str = "var"
@@ -59,13 +69,6 @@ class ExperimentConfig:
     ga: GaSection = field(default_factory=GaSection)
     bench: BenchConfig = field(default_factory=BenchConfig)
     farneback: FarnebackParams = field(default_factory=FarnebackParams)
-
-    def __post_init__(self):
-        if self.genome is None:
-            default = (Genome(BVAE, (48, 48), "bilinear", color="rgb")
-                       if self.family == BVAE
-                       else Genome(OPTFLOW, (48, 64), "bilinear", flow_depth=6))
-            object.__setattr__(self, "genome", default)
 
     def validate(self):
         if self.family not in (BVAE, OPTFLOW):
@@ -92,6 +95,10 @@ class ExperimentConfig:
                              f"got {self.variance_parametrization!r}")
         if self.beta <= 0 or self.n_latent < 1:
             raise ValueError("beta must be > 0 and n_latent >= 1")
+        if not isinstance(self.ga.buckets, dict):
+            raise ValueError(f"ga.buckets must be an object, got {self.ga.buckets!r}")
+        for name in self.ga.buckets:
+            bucket_from_config(self, name)
         return self
 
 
@@ -99,7 +106,8 @@ def default_config(family: str = BVAE) -> ExperimentConfig:
     if family == BVAE:
         return ExperimentConfig(
             dataset=DatasetConfig(seed=7, scene=SceneParams(width=64, height=64,
-                                                            shift_per_frame=3)))
+                                                            shift_per_frame=3)),
+            genome=Genome(BVAE, (48, 48), "bilinear", color=RGB))
     return ExperimentConfig(
         family=OPTFLOW,
         dataset=DatasetConfig(family=OPTFLOW, scenes=5, runs=4, frames_per_run=30,
@@ -123,44 +131,33 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return d
 
 
+def _merge(default, value, path: str):
+    """`value`, parsed from JSON, laid over `default`: a dataclass section
+    field by field at every depth (its checks run again), a genome and any
+    other value whole, a list as a tuple where the default is one."""
+    if isinstance(default, Genome):
+        return Genome.from_dict(value)
+    if isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"config key {path!r} must be a list, got {value!r}")
+        return tuple(value)
+    if not is_dataclass(default):
+        return value
+    if not isinstance(value, dict):
+        raise ValueError(f"config section {path!r} must be an object, got {value!r}")
+    names = {f.name for f in fields(default)}
+    changes = {}
+    for key, val in value.items():
+        where = f"{path}.{key}" if path else key
+        if key not in names:
+            raise ValueError(f"unknown config key {where!r}")
+        changes[key] = _merge(getattr(default, key), val, where)
+    return replace(default, **changes)
+
+
 def config_from_dict(d: dict) -> ExperimentConfig:
-    d = dict(d)
-    family = d.get("family", BVAE)
-    base = config_to_dict(default_config(family))
-    for key, val in d.items():
-        if key not in base:
-            raise ValueError(f"unknown config key {key!r}")
-        if isinstance(base[key], dict) and isinstance(val, dict) and key != "genome":
-            base[key] = {**base[key], **val}
-        else:
-            base[key] = val
-    ds = base["dataset"]
-    scene = SceneParams(**ds.pop("scene"))
-    ranges = FactorRanges(**{k: tuple(v) if isinstance(v, list) else v
-                             for k, v in ds.pop("ranges").items()})
-    dataset = DatasetConfig(scene=scene, ranges=ranges, **ds)
-    ga = dict(base["ga"])
-    ga["buckets"] = {k: list(v) for k, v in ga["buckets"].items()}
-    bench = dict(base["bench"])
-    bench["throughput_rates"] = tuple(bench["throughput_rates"])
-    cfg = ExperimentConfig(
-        family=family,
-        dataset=dataset,
-        requirements=Requirements(**base["requirements"]),
-        genome=Genome.from_dict(base["genome"]),
-        n_latent=base["n_latent"],
-        beta=base["beta"],
-        variance_parametrization=base["variance_parametrization"],
-        train=TrainOpts(**base["train"]),
-        postprocess=PostprocessConfig(**base["postprocess"]),
-        delta_grid=tuple(base["delta_grid"]),
-        precisions=tuple(base["precisions"]),
-        executors=tuple(base["executors"]),
-        ga=GaSection(**ga),
-        bench=BenchConfig(**bench),
-        farneback=FarnebackParams(**base["farneback"]),
-    )
-    return cfg.validate()
+    """The family's default config with `d` laid over it, validated."""
+    return _merge(default_config(d.get("family", BVAE)), d, "").validate()
 
 
 def load_config(path) -> ExperimentConfig:
@@ -171,12 +168,18 @@ def save_config(cfg: ExperimentConfig, path):
     write_atomic(path, json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n")
 
 
-def bucket_from_config(cfg: ExperimentConfig, name: str):
-    """Desk-scale Bucket for one of the config's GA buckets."""
-    from .gasearch import BVAE_INTERPOLATIONS, OF_INTERPOLATIONS, Bucket
+def bucket_from_config(cfg: ExperimentConfig, name: str) -> Bucket:
+    """Desk-scale Bucket for one of the config's GA buckets: widths of square
+    frames for the image detector, (height, width) pairs for the flow one."""
+    if name not in cfg.ga.buckets:
+        raise ValueError(f"unknown GA bucket {name!r}; the config has "
+                         f"{', '.join(map(repr, cfg.ga.buckets)) or 'none'}")
     sizes = cfg.ga.buckets[name]
-    if cfg.family == BVAE:
-        return Bucket(name, BVAE, tuple((int(w), int(w)) for w in sizes),
-                      BVAE_INTERPOLATIONS, ("rgb", "gray"))
-    return Bucket(name, OPTFLOW, tuple(tuple(int(x) for x in hw) for hw in sizes),
-                  OF_INTERPOLATIONS, flow_depths=tuple(range(2, 7)))
+    try:
+        if cfg.family == BVAE:
+            return Bucket(name, BVAE, tuple((w, w) for w in sizes),
+                          BVAE_INTERPOLATIONS, (RGB, GRAY))
+        return Bucket(name, OPTFLOW, tuple(tuple(hw) for hw in sizes),
+                      OF_INTERPOLATIONS, flow_depths=tuple(range(2, 7)))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"GA bucket {name!r} {sizes!r}: {exc}") from exc

@@ -70,6 +70,15 @@ class Genome:
                    d.get("color"), d.get("flow_depth"))
 
 
+# each family's genes, paired with the Bucket field that holds their alleles,
+# in the order the GA draws them
+GENES = {
+    BVAE: (("size", "sizes"), ("interpolation", "interpolations"), ("color", "colors")),
+    OPTFLOW: (("size", "sizes"), ("interpolation", "interpolations"),
+              ("flow_depth", "flow_depths")),
+}
+
+
 @dataclass(frozen=True)
 class Bucket:
     """Allele space of one GA: candidate sizes and the other gene ranges."""
@@ -82,21 +91,20 @@ class Bucket:
     flow_depths: tuple = ()
 
     def __post_init__(self):
-        if not self.sizes or not self.interpolations:
-            raise ValueError("bucket needs at least one size and interpolation")
-        if self.family == BVAE and not self.colors:
-            raise ValueError("bvae bucket needs color alleles")
-        if self.family == OPTFLOW and not self.flow_depths:
-            raise ValueError("optflow bucket needs flow_depth alleles")
+        if self.family not in GENES:
+            raise ValueError(f"unknown bucket family {self.family!r}")
+        for gene, alleles in GENES[self.family]:
+            if not getattr(self, alleles):
+                raise ValueError(f"{self.family} bucket needs {gene} alleles")
+        for size in self.sizes:
+            if not (isinstance(size, tuple) and len(size) == 2
+                    and all(isinstance(x, int) and x > 0 for x in size)):
+                raise ValueError(f"size {size!r} is not a (height, width) pair "
+                                 "of positive integers")
 
     def contains(self, g: Genome) -> bool:
-        if g.family != self.family or tuple(g.size) not in self.sizes:
-            return False
-        if g.interpolation not in self.interpolations:
-            return False
-        if self.family == BVAE:
-            return g.color in self.colors
-        return g.flow_depth in self.flow_depths
+        return g.family == self.family and all(
+            getattr(g, gene) in getattr(self, alleles) for gene, alleles in GENES[self.family])
 
 
 BVAE_INTERPOLATIONS = ("nearest", "bilinear", "bicubic")
@@ -125,14 +133,13 @@ class GAConfig:
             raise ValueError("generations must be >= 0")
 
 
+def _draw(alleles: tuple, rng: np.random.Generator):
+    return alleles[rng.integers(len(alleles))]
+
+
 def random_genome(bucket: Bucket, rng: np.random.Generator) -> Genome:
-    size = bucket.sizes[rng.integers(len(bucket.sizes))]
-    interp = bucket.interpolations[rng.integers(len(bucket.interpolations))]
-    if bucket.family == BVAE:
-        color = bucket.colors[rng.integers(len(bucket.colors))]
-        return Genome(BVAE, size, interp, color=color)
-    depth = int(bucket.flow_depths[rng.integers(len(bucket.flow_depths))])
-    return Genome(OPTFLOW, size, interp, flow_depth=depth)
+    return Genome(bucket.family, **{gene: _draw(getattr(bucket, alleles), rng)
+                                    for gene, alleles in GENES[bucket.family]})
 
 
 def mutate(g: Genome, rate: float, rng: np.random.Generator, bucket: Bucket) -> Genome:
@@ -140,27 +147,16 @@ def mutate(g: Genome, rate: float, rng: np.random.Generator, bucket: Bucket) -> 
     `rate`; a resample may redraw the same allele."""
     if not bucket.contains(g):
         raise ValueError(f"genome {g} not in bucket {bucket.name}")
-    size = bucket.sizes[rng.integers(len(bucket.sizes))] if rng.random() < rate else g.size
-    interp = (bucket.interpolations[rng.integers(len(bucket.interpolations))]
-              if rng.random() < rate else g.interpolation)
-    if g.family == BVAE:
-        color = bucket.colors[rng.integers(len(bucket.colors))] if rng.random() < rate else g.color
-        return Genome(BVAE, size, interp, color=color)
-    depth = (int(bucket.flow_depths[rng.integers(len(bucket.flow_depths))])
-             if rng.random() < rate else g.flow_depth)
-    return Genome(OPTFLOW, size, interp, flow_depth=depth)
+    return Genome(g.family, **{
+        gene: _draw(getattr(bucket, alleles), rng) if rng.random() < rate else getattr(g, gene)
+        for gene, alleles in GENES[g.family]})
 
 
 def crossover(a: Genome, b: Genome, rng: np.random.Generator) -> Genome:
     if a.family != b.family:
         raise ValueError("crossover requires genomes of the same family")
-    size = a.size if rng.random() < 0.5 else b.size
-    interp = a.interpolation if rng.random() < 0.5 else b.interpolation
-    if a.family == BVAE:
-        color = a.color if rng.random() < 0.5 else b.color
-        return Genome(BVAE, size, interp, color=color)
-    depth = a.flow_depth if rng.random() < 0.5 else b.flow_depth
-    return Genome(OPTFLOW, size, interp, flow_depth=depth)
+    return Genome(a.family, **{gene: getattr(a if rng.random() < 0.5 else b, gene)
+                               for gene, _ in GENES[a.family]})
 
 
 def select(scored, rng: np.random.Generator, k: int = 2) -> Genome:

@@ -8,7 +8,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..tensor import (F16, F32, QINT8, QMAX, QMIN, QuantParams, Tensor, calibrate_quant_params,
-                      round_half_away)
+                      quantize_affine)
 from . import layers as L
 from .model import DetectorModel, ModelSpec, build_decoder, build_encoder, named_arrays
 
@@ -210,9 +210,7 @@ def quantize_model(model: DetectorModel, calibration_images) -> DetectorModel:
     for name, layer, key in named_arrays(folded.encoder, None, stored=False):
         w = layer.params[key]
         if key == "w":
-            wqp = calibrate_quant_params([w], "symmetric")
-            wq = np.clip(round_half_away(w.astype(np.float64) / wqp.scale), -128, 127).astype(np.int8)
-            weights[name] = Tensor.qint8(wq, wqp)
+            weights[name] = quantize_affine(w, calibrate_quant_params([w], "symmetric"))
         else:
             weights[name] = Tensor.f32(w)
     return rebuild_quantized(folded.spec, weights,

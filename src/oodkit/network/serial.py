@@ -51,17 +51,6 @@ _SPEC_KINDS = {cls.kind: cls for cls in (ConvSpec, MaxPoolSpec, DenseSpec, ReluS
                                           BatchNormSpec, FlattenSpec)}
 
 
-def _spec_to_json(spec: ModelSpec):
-    return {
-        "input_hw": list(spec.input_hw),
-        "in_channels": spec.in_channels,
-        "n_latent": spec.n_latent,
-        "beta": spec.beta,
-        "variance_parametrization": spec.variance_parametrization,
-        "layers": [asdict(ls) for ls in spec.layers],
-    }
-
-
 def _spec_from_json(d) -> ModelSpec:
     layers = []
     for i, ld in enumerate(d["layers"]):
@@ -102,7 +91,7 @@ def _stored_arrays(model: DetectorModel):
 def save_model(model: DetectorModel) -> bytes:
     directory, payload = _stored_arrays(model)
     header = {
-        "spec": _spec_to_json(model.spec),
+        "spec": asdict(model.spec),
         "precision": model.precision,
         "has_decoder": model.decoder is not None,
         "tensors": directory,

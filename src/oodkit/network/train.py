@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -167,6 +167,5 @@ def train(spec: ModelSpec, images, opts: TrainOpts = TrainOpts(),
 
     meta = dict(metadata or {})
     meta["loss_history"] = history
-    meta["train_opts"] = {"epochs": opts.epochs, "batch_size": opts.batch_size,
-                          "lr": opts.lr, "seed": opts.seed, "optimizer": opts.optimizer}
+    meta["train_opts"] = asdict(opts)
     return DetectorModel(spec, F32, encoder, decoder, metadata=meta)

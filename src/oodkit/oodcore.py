@@ -165,19 +165,12 @@ def auroc(id_scores, ood_scores) -> float:
     if a.size == 0 or b.size == 0:
         raise ValueError("auroc requires nonempty score sets on both sides")
     both = np.concatenate([a, b])
-    order = np.argsort(both, kind="mergesort")
-    ranks = np.empty_like(both)
-    # average ranks over ties
-    sorted_vals = both[order]
-    ranks_sorted = np.arange(1, both.size + 1, dtype=np.float64)
-    i = 0
-    while i < both.size:
-        j = i
-        while j + 1 < both.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks_sorted[i:j + 1] = 0.5 * (i + 1 + j + 1)
-        i = j + 1
-    ranks[order] = ranks_sorted
+    if np.isnan(both).any():
+        raise ValueError("auroc scores must not be NaN")
+    # each value's rank, averaged over its tie group: a group of c values
+    # ending at 1-based rank r holds ranks r-c+1 .. r, mean r - (c-1)/2
+    _, group, counts = np.unique(both, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
     rank_sum_ood = ranks[a.size:].sum()
     u = rank_sum_ood - b.size * (b.size + 1) / 2.0
     return float(u / (a.size * b.size))

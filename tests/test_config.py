@@ -1,4 +1,6 @@
 import json
+import re
+from dataclasses import replace
 
 import pytest
 
@@ -37,14 +39,36 @@ def test_unknown_key_rejected(tmp_path):
         config_from_dict({"turbo": True})
     # a removed setting fails at load time, not silently
     path = tmp_path / "c.json"
-    for removed, error, name in (({"postprocess": {"martingale": "power"}}, TypeError,
-                                  "martingale"),
-                                 ({"recalibrate": {"f16": True}}, ValueError, "recalibrate")):
+    for removed, name in (({"postprocess": {"martingale": "power"}}, "postprocess.martingale"),
+                          ({"recalibrate": {"f16": True}}, "recalibrate")):
         path.write_text(json.dumps(removed))
-        with pytest.raises(error, match=name):
+        with pytest.raises(ValueError, match=name):
             load_config(path)
         assert main(["--run-dir", str(tmp_path / "run"), "--config", str(path),
                      "dataset-generate"]) == 2
+
+
+@pytest.mark.parametrize("family", ["bvae", "optflow"])
+def test_partial_nested_override_keeps_family_defaults(family):
+    default = default_config(family)
+    cfg = config_from_dict({"family": family,
+                            "dataset": {"scene": {"shift_per_frame": 2},
+                                        "ranges": {"rain_ood": [0.005, 0.01]}}})
+    assert cfg.dataset.scene == replace(default.dataset.scene, shift_per_frame=2)
+    assert cfg.dataset.ranges == replace(default.dataset.ranges, rain_ood=(0.005, 0.01))
+    assert replace(cfg, dataset=default.dataset) == default
+
+
+@pytest.mark.parametrize("override,message", [
+    ({"train": {"epoch": 3}}, "unknown config key 'train.epoch'"),
+    ({"dataset": {"scene": {"widht": 32}}}, "unknown config key 'dataset.scene.widht'"),
+    ({"train": 5}, "config section 'train' must be an object"),
+    ({"dataset": {"ranges": [0.0, 0.003]}}, "config section 'dataset.ranges' must be an object"),
+    ({"delta_grid": 0.1}, "config key 'delta_grid' must be a list"),
+])
+def test_malformed_nested_key_refused_by_path(override, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        config_from_dict(override)
 
 
 def test_family_mismatch_rejected():
@@ -78,6 +102,22 @@ def test_bucket_from_config():
     ob = bucket_from_config(ocfg, "L")
     assert (120, 160) in ob.sizes and (150, 200) in ob.sizes
     assert ob.flow_depths == (2, 3, 4, 5, 6)
+
+
+def test_unknown_bucket_names_the_configured_ones():
+    with pytest.raises(ValueError, match="unknown GA bucket 'X'; the config has 'S', 'M', 'L'"):
+        bucket_from_config(default_config("bvae"), "X")
+
+
+@pytest.mark.parametrize("family,sizes", [("bvae", [[16, 20]]), ("optflow", [24])])
+def test_malformed_bucket_refused_at_load(tmp_path, family, sizes):
+    buckets = dict(default_config(family).ga.buckets, M=sizes)
+    with pytest.raises(ValueError, match="GA bucket 'M'"):
+        config_from_dict({"family": family, "ga": {"buckets": buckets}})
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"family": family, "ga": {"buckets": buckets}}))
+    assert main(["--run-dir", str(tmp_path / "run"), "--config", str(path),
+                 "dataset-generate"]) == 2
 
 
 def test_variance_parametrization_validated():

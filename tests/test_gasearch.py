@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -217,3 +218,36 @@ def test_history_csv_shape():
     assert lines[0] == ("generation,family,height,width,interpolation,color,flow_depth,"
                         "auroc_brightness,auroc_rain,fitness,cache_hit")
     assert len(lines) == 1 + 3 * 3
+
+
+def test_bucket_validation():
+    with pytest.raises(ValueError, match="unknown bucket family"):
+        Bucket("X", "lidar", ((8, 8),), ("nearest",))
+    with pytest.raises(ValueError, match="color alleles"):
+        Bucket("X", BVAE, ((8, 8),), ("nearest",))
+    with pytest.raises(ValueError, match="flow_depth alleles"):
+        Bucket("X", OPTFLOW, ((8, 8),), ("nearest",), colors=("rgb",))
+    for size in ((8,), (8, 0), (8.0, 8), 8):
+        with pytest.raises(ValueError, match="height, width"):
+            Bucket("X", BVAE, (size,), ("nearest",), ("rgb",))
+
+
+def test_run_ga_draw_order_pinned():
+    """run_ga's histories over both families' default buckets under a fixed
+    synthetic fitness; the digest was recorded before the GA operators were
+    written over the gene table, so it pins the order of every draw."""
+    def fitness(g):
+        h = int(hashlib.sha256(repr(g.to_dict()).encode()).hexdigest()[:8], 16)
+        return (h % 1000) / 1000.0, {"rain": (h % 997) / 997.0}
+
+    digest = hashlib.sha256()
+    for family in (BVAE, OPTFLOW):
+        for name in ("S", "M", "L"):
+            bucket = bucket_from_config(default_config(family), name)
+            for seed in range(4):
+                best, hist = run_ga(bucket, GAConfig(population=5, generations=6, seed=seed,
+                                                     mutation_rate=0.3),
+                                    MemoizedEvaluator(fitness))
+                digest.update(repr(best.to_dict()).encode())
+                digest.update(hist.to_csv().encode())
+    assert digest.hexdigest()[:16] == "d94ae8fa0d95575c"

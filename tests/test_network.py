@@ -368,6 +368,18 @@ def test_quantize_zero_weights_map_to_zero_point():
             assert np.all(t.data == t.quant.zero_point)
 
 
+def test_quantize_refuses_non_finite_weight():
+    """An inf weight read from an f32 model file is refused by its index, not
+    saturated to an int8 code."""
+    spec = ModelSpec((8, 8), 1, (FlattenSpec(), DenseSpec(4)), 2, 1.0, VAR)
+    m = random_model(spec, seed=1)
+    m.encoder[1].params["w"][5, 2] = np.inf
+    loaded = load_model(save_model(m))
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(ValueError, match=re.escape("non-finite input element at index (5, 2)")):
+        quantize_model(loaded, train_images(8))
+
+
 def test_quantize_requires_calibration_set():
     with pytest.raises(ValueError):
         quantize_model(trained_tiny(), train_images(4))

@@ -155,6 +155,47 @@ def auroc_bruteforce(id_scores, ood_scores):
     return wins / (len(id_scores) * len(ood_scores))
 
 
+def auroc_sequential(id_scores, ood_scores):
+    """Rank-sum AUROC with tie ranks averaged by a scan over the sorted
+    scores, one tie group at a time."""
+    a = np.asarray(id_scores, dtype=np.float64)
+    b = np.asarray(ood_scores, dtype=np.float64)
+    both = np.concatenate([a, b])
+    order = np.argsort(both, kind="mergesort")
+    sorted_vals = both[order]
+    ranks_sorted = np.arange(1, both.size + 1, dtype=np.float64)
+    i = 0
+    while i < both.size:
+        j = i
+        while j + 1 < both.size and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks_sorted[i:j + 1] = 0.5 * (i + 1 + j + 1)
+        i = j + 1
+    ranks = np.empty_like(both)
+    ranks[order] = ranks_sorted
+    u = ranks[a.size:].sum() - b.size * (b.size + 1) / 2.0
+    return float(u / (a.size * b.size))
+
+
+def test_auroc_bit_equal_to_sequential_ranks():
+    rng = np.random.default_rng(23)
+    for case in range(2000):
+        n_id, n_ood = rng.integers(1, 60, 2)
+        if case % 2:  # coarse grid: many ties, within and across the two sets
+            ids = rng.integers(0, 12, n_id) / 8.0
+            oods = rng.integers(0, 12, n_ood) / 8.0
+        else:
+            ids = rng.normal(size=n_id)
+            oods = rng.normal(size=n_ood) + 0.5
+        assert auroc(ids, oods) == auroc_sequential(ids, oods)
+    assert auroc([-np.inf, 1.0], [np.inf, 1.0]) == auroc_sequential([-np.inf, 1.0], [np.inf, 1.0])
+
+
+def test_auroc_refuses_nan():
+    with pytest.raises(ValueError, match="NaN"):
+        auroc([0.1, np.nan], [0.3])
+
+
 def test_auroc_examples():
     assert auroc([0.1, 0.2], [0.3, 0.4]) == 1.0
     assert auroc([1, 2, 3], [1, 2, 3]) == 0.5
