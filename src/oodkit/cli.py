@@ -127,11 +127,16 @@ def _load_bundle(run: Path, cfg: ExperimentConfig, precision: str):
     return FlowBundle(genome, *models, *calibs, pp, cfg.farneback)
 
 
+def _split(cfg, rows, images, split):
+    """One dataset split as the family's detector reads it: images for bvae,
+    frame sequences for optflow."""
+    return (split_images(rows, images, split) if cfg.family == BVAE
+            else of_sequences(rows, images, split))
+
+
 def _encoder_inputs(cfg, genome, rows, images, split):
     """Per-branch encoder inputs of one dataset split."""
-    items = (split_images(rows, images, split) if cfg.family == BVAE
-             else of_sequences(rows, images, split))
-    return encoder_inputs(genome, items, cfg.farneback)
+    return encoder_inputs(genome, _split(cfg, rows, images, split), cfg.farneback)
 
 
 def _test_streams(cfg, rows, images):
@@ -154,7 +159,9 @@ def cmd_dataset_generate(args, run, cfg):
 
 def _genome_from_args(args, cfg) -> Genome:
     if getattr(args, "genome_file", None):
-        return Genome.from_dict(json.loads(Path(args.genome_file).read_text()))
+        d = json.loads(Path(args.genome_file).read_text())
+        d.pop("fitness", None)  # ga-search's best_genome.json carries its fitness
+        return Genome.from_dict(d)
     return cfg.genome
 
 
@@ -245,24 +252,18 @@ def cmd_ga_search(args, run, cfg):
     bucket = bucket_from_config(cfg, args.bucket)
     rows, images = _dataset(run)
     ga_dir = run / "ga" / args.bucket
-    opts = replace(cfg.train, epochs=cfg.ga.train_epochs)
+    data = (_split(cfg, rows, images, "train"), _split(cfg, rows, images, "calib"),
+            _test_streams(cfg, rows, images),
+            replace(cfg.train, epochs=cfg.ga.train_epochs), _postprocess(cfg, run))
     if cfg.family == BVAE:
-        ctx = BvaeTrainContext(
-            train_images=split_images(rows, images, "train"),
-            calib_images=split_images(rows, images, "calib"),
-            test_streams=bvae_test_streams(rows, images),
-            opts=opts, postprocess=_postprocess(cfg, run),
-            n_latent=cfg.n_latent, beta=cfg.beta,
-            variance_parametrization=cfg.variance_parametrization)
-        evaluator = MemoizedEvaluator(lambda g: bvae_fitness(g, ctx))
+        ctx = BvaeTrainContext(*data, n_latent=cfg.n_latent, beta=cfg.beta,
+                               variance_parametrization=cfg.variance_parametrization)
+        fitness = bvae_fitness
     else:
-        ctx = FlowTrainContext(
-            train_sequences=of_sequences(rows, images, "train"),
-            calib_sequences=of_sequences(rows, images, "calib"),
-            test_streams=of_test_streams(rows, images),
-            opts=opts, postprocess=_postprocess(cfg, run),
-            farneback=cfg.farneback, n_latent=cfg.n_latent, beta=cfg.beta)
-        evaluator = MemoizedEvaluator(lambda g: flow_fitness(g, ctx))
+        ctx = FlowTrainContext(*data, farneback=cfg.farneback, n_latent=cfg.n_latent,
+                               beta=cfg.beta)
+        fitness = flow_fitness
+    evaluator = MemoizedEvaluator(lambda g: fitness(g, ctx))
 
     ckpt_path = ga_dir / "checkpoint.json"
     state = json.loads(ckpt_path.read_text()) if ckpt_path.exists() else None

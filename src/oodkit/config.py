@@ -133,10 +133,8 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 def _merge(default, value, path: str):
     """`value`, parsed from JSON, laid over `default`: a dataclass section
-    field by field at every depth (its checks run again), a genome and any
-    other value whole, a list as a tuple where the default is one."""
-    if isinstance(default, Genome):
-        return Genome.from_dict(value)
+    field by field at every depth (its checks run again), a genome gene by
+    gene, any other value whole, a list as a tuple where the default is one."""
     if isinstance(default, tuple):
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"config key {path!r} must be a list, got {value!r}")
@@ -145,6 +143,8 @@ def _merge(default, value, path: str):
         return value
     if not isinstance(value, dict):
         raise ValueError(f"config section {path!r} must be an object, got {value!r}")
+    if isinstance(default, Genome):
+        return Genome.from_dict({**default.to_dict(), **value})
     names = {f.name for f in fields(default)}
     changes = {}
     for key, val in value.items():
@@ -157,6 +157,8 @@ def _merge(default, value, path: str):
 
 def config_from_dict(d: dict) -> ExperimentConfig:
     """The family's default config with `d` laid over it, validated."""
+    if not isinstance(d, dict):
+        raise ValueError(f"a config must be a JSON object, got {d!r}")
     return _merge(default_config(d.get("family", BVAE)), d, "").validate()
 
 

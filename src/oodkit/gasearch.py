@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import io
 import logging
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -66,8 +66,14 @@ class Genome:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(d["family"], tuple(d["size"]), d["interpolation"],
-                   d.get("color"), d.get("flow_depth"))
+        """The genome of a to_dict document; color and flow_depth may be left out."""
+        unknown = d.keys() - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown genome keys {sorted(unknown)}")
+        for f in fields(cls):
+            if f.default is MISSING and f.name not in d:
+                raise ValueError(f"genome {d!r} is missing {f.name!r}")
+        return cls(**dict(d, size=tuple(d["size"])))
 
 
 # each family's genes, paired with the Bucket field that holds their alleles,

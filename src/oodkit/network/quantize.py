@@ -8,7 +8,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..tensor import (F16, F32, QINT8, QMAX, QMIN, QuantParams, Tensor, calibrate_quant_params,
-                      quantize_affine)
+                      check_finite, quantize_affine)
 from . import layers as L
 from .model import DetectorModel, ModelSpec, build_decoder, build_encoder, named_arrays
 
@@ -204,6 +204,10 @@ def quantize_model(model: DetectorModel, calibration_images) -> DetectorModel:
         raise ValueError(
             f"need at least {MIN_CALIBRATION_IMAGES} calibration inputs, got {calib.shape[0]}")
     folded = fold_batchnorm(model)
+    # a non-finite parameter would surface later as an empty activation range
+    for name, arr in model.named_params():
+        if name.startswith("enc."):
+            check_finite(arr, f"cannot quantize {name}: ")
     sites = _observe_sites(folded, calib)
     weights = {}
     # each conv's and dense's w and b: the folded encoder has no other params

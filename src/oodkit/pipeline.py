@@ -29,13 +29,6 @@ import numpy as np
 
 from .gasearch import CELL_FAILURES
 from .oodcore import DetectorState, auroc, score_frame
-from .workflow import (
-    BvaeBundle,
-    FlowBundle,
-    FlowHistory,
-    of_preprocess_step,
-    preprocess_bvae,
-)
 
 CHAIN_MT = "chain_mt"
 MONO_ST = "mono_st"
@@ -405,59 +398,31 @@ def throughput_sweep(graph: CallbackGraph, kind: ExecutorKind, rates,
 # Detector graphs
 
 def build_graph(bundle) -> CallbackGraph:
-    """Stage decomposition of a detector bundle: a three-stage chain for the
-    image detector; preprocessing, then twin encoders whose latents meet in
-    post-processing, for the flow detector."""
+    """The detector graph of a bundle: preprocess, then one encoder stage per
+    branch, whose latents meet in postprocess. Postprocess keeps one CUSUM per
+    branch and emits their max, or None while the frontend warms up."""
     pp = bundle.postprocess
-    if isinstance(bundle, BvaeBundle):
-        genome = bundle.genome
-        model = bundle.model
-        calib = bundle.calib
+    branches = bundle.branches
+    names = [name for name, _, _ in branches]
 
-        def post_fn(latent, state: DetectorState):
-            _, s = score_frame(state, latent, calib, pp)
-            return s
+    def encoder(i, model):
+        return lambda inputs: None if inputs is None else model.encode(inputs[i])
 
-        stages = [
-            Stage("preprocess", lambda img: preprocess_bvae(img, genome)),
-            Stage("encode", model.encode),
-            Stage("postprocess", post_fn,
-                  state_factory=lambda: DetectorState(window=pp.window)),
-        ]
-        return CallbackGraph(stages, [("preprocess", "encode"), ("encode", "postprocess")])
+    def post_fn(latents, states):
+        if len(branches) == 1:
+            latents = (latents,)  # a single edge delivers its payload bare
+        if any(lat is None for lat in latents):
+            return None
+        return max(score_frame(state, lat, calib, pp)[1]
+                   for state, lat, (_, _, calib) in zip(states, latents, branches))
 
-    if isinstance(bundle, FlowBundle):
-        genome = bundle.genome
-        fb = bundle.farneback
-
-        def pre_fn(img, hist: FlowHistory):
-            return of_preprocess_step(img, genome, fb, hist)
-
-        def post_fn(latents, states):
-            lat_u, lat_v = latents
-            if lat_u is None or lat_v is None:
-                return None
-            state_u, state_v = states
-            _, s_u = score_frame(state_u, lat_u, bundle.calib_u, pp)
-            _, s_v = score_frame(state_v, lat_v, bundle.calib_v, pp)
-            return max(s_u, s_v)
-
-        stages = [
-            Stage("preprocess", pre_fn,
-                  state_factory=lambda: FlowHistory(depth=genome.flow_depth)),
-            Stage("encoder_u",
-                  lambda st: None if st is None else bundle.model_u.encode(st[0])),
-            Stage("encoder_v",
-                  lambda st: None if st is None else bundle.model_v.encode(st[1])),
-            Stage("postprocess", post_fn,
-                  state_factory=lambda: (DetectorState(window=pp.window),
-                                         DetectorState(window=pp.window))),
-        ]
-        edges = [("preprocess", "encoder_u"), ("preprocess", "encoder_v"),
-                 ("encoder_u", "postprocess"), ("encoder_v", "postprocess")]
-        return CallbackGraph(stages, edges)
-
-    raise ValueError(f"cannot build a callback graph from {type(bundle).__name__}")
+    stages = [Stage("preprocess", *bundle.frontend())]
+    stages += [Stage(name, encoder(i, model)) for i, (name, model, _) in enumerate(branches)]
+    stages.append(Stage("postprocess", post_fn,
+                        state_factory=lambda: [DetectorState(window=pp.window)
+                                               for _ in branches]))
+    edges = [("preprocess", n) for n in names] + [(n, "postprocess") for n in names]
+    return CallbackGraph(stages, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +462,7 @@ def bench_matrix(bundles: dict, precisions, kinds, frames, labels,
     computed once)."""
     frames = list(frames)[:cfg.n_frames]
     labels = list(labels)[:cfg.n_frames]
-    family = next(iter(bundles.values())).family
+    family = next(iter(bundles.values())).genome.family
     rows = []
     baseline_auroc = None
     for precision in precisions:

@@ -94,13 +94,18 @@ def round_half_away(x: np.ndarray) -> np.ndarray:
     return np.sign(x) * np.floor(np.abs(x) + 0.5)
 
 
-def quantize_affine(x, qp: QuantParams) -> Tensor:
-    """Quantize f32 values to int8: q = clamp(round(x/scale) + zero_point, -128, 127)."""
-    arr = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float32)
+def check_finite(arr: np.ndarray, context: str = ""):
+    """Refuse an array with a NaN or inf, naming the first one's index."""
     bad = ~np.isfinite(arr)
     if bad.any():
         idx = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise ValueError(f"non-finite input element at index {idx}")
+        raise ValueError(f"{context}non-finite input element at index {idx}")
+
+
+def quantize_affine(x, qp: QuantParams) -> Tensor:
+    """Quantize f32 values to int8: q = clamp(round(x/scale) + zero_point, -128, 127)."""
+    arr = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float32)
+    check_finite(arr)
     q = round_half_away(arr.astype(np.float64) / qp.scale) + qp.zero_point
     q = np.clip(q, QMIN, QMAX)
     return Tensor.qint8(q.astype(np.int8), qp)

@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from . import imaging
-from .gasearch import BVAE, GRAY, Genome, OPTFLOW
+from .gasearch import BVAE, GRAY, Genome
 from .imaging import Image
 from .network import DetectorModel, TrainOpts, bvae_spec, of_encoder_spec, train
 from .network.model import VAR
@@ -22,9 +22,10 @@ from .oodcore import (
     build_calibration,
     check_calibration,
     harmonic_fitness,
-    score_frame,  # noqa: F401 - a hook point: tracers wrap workflow.score_frame
+    score_frame,  # noqa: F401 - perfbench's tracer patches workflow.score_frame
 )
 from .optflow import FarnebackParams, FlowPyramid, expand_frame, farneback_flow, stack_flows
+from .pipeline import build_graph, run_in_order
 
 
 def preprocess_bvae(img: Image, genome: Genome) -> np.ndarray:
@@ -67,8 +68,16 @@ def of_preprocess_step(img: Image, genome: Genome, fb: FarnebackParams,
     return stack_flows(hist.flows, hist.depth)
 
 
+class _Detector:
+    """A bundle: each encoder branch's calibration belongs to its model."""
+
+    def __post_init__(self):
+        for _, model, calib in self.branches:
+            check_calibration(model, calib)
+
+
 @dataclass
-class BvaeBundle:
+class BvaeBundle(_Detector):
     """Everything one image-detector deployment needs."""
 
     genome: Genome
@@ -76,20 +85,19 @@ class BvaeBundle:
     calib: CalibrationSet
     postprocess: PostprocessConfig
 
-    def __post_init__(self):
-        check_calibration(self.model, self.calib)
-
     @property
-    def family(self):
-        return BVAE
+    def branches(self):
+        """(stage name, model, calibration) of each encoder branch."""
+        return (("encode", self.model, self.calib),)
 
-    @property
-    def precision(self):
-        return self.model.precision
+    def frontend(self):
+        """(preprocess callback, state factory): one input per branch."""
+        genome = self.genome
+        return (lambda img: (preprocess_bvae(img, genome),)), None
 
 
 @dataclass
-class FlowBundle:
+class FlowBundle(_Detector):
     """Flow-detector deployment: twin encoders with their own calibrations."""
 
     genome: Genome
@@ -100,24 +108,23 @@ class FlowBundle:
     postprocess: PostprocessConfig
     farneback: FarnebackParams = FarnebackParams()
 
-    def __post_init__(self):
-        check_calibration(self.model_u, self.calib_u)
-        check_calibration(self.model_v, self.calib_v)
-
     @property
-    def family(self):
-        return OPTFLOW
+    def branches(self):
+        return (("encoder_u", self.model_u, self.calib_u),
+                ("encoder_v", self.model_v, self.calib_v))
 
-    @property
-    def precision(self):
-        return self.model_u.precision
+    def frontend(self):
+        """The callback returns (u_stack, v_stack), or None while the flow
+        history warms up."""
+        genome, fb = self.genome, self.farneback
+        return (lambda img, hist: of_preprocess_step(img, genome, fb, hist),
+                lambda: FlowHistory(depth=genome.flow_depth))
 
 
 def score_stream(bundle, frames) -> np.ndarray:
     """Per-frame scores of one stream from the deployed detector graph, run in
     frame order in the calling thread with fresh state; warm-up frames that
     the detector leaves unscored are dropped."""
-    from .pipeline import build_graph, run_in_order  # pipeline imports this module
     return np.asarray([s for s in run_in_order(build_graph(bundle), frames)
                        if s is not None])
 

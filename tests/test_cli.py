@@ -151,6 +151,12 @@ def test_ga_search_accounting_and_resume(run_dir, tmp_path):
     assert main(["--run-dir", str(resumed), "ga-search", "--bucket", "S"]) == 0
     assert (resumed / "ga" / "S" / "history.csv").read_text() == \
         (run_dir / "ga" / "S" / "history.csv").read_text()
+    # the best genome file trains as written, its fitness entry included
+    best_file = resumed / "ga" / "S" / "best_genome.json"
+    assert main(["--run-dir", str(resumed), "train", "--genome-file", str(best_file)]) == 0
+    from oodkit.network import load_model
+    model = load_model((resumed / "models" / "main_f32.oodm").read_bytes())
+    assert model.metadata["genome"] == {k: v for k, v in best.items() if k != "fitness"}
 
 
 def test_bench_throughput_and_report(run_dir):

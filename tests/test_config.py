@@ -2,6 +2,7 @@ import json
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from oodkit.cli import main
@@ -14,6 +15,7 @@ from oodkit.config import (
     load_config,
     save_config,
 )
+from oodkit.gasearch import Genome, random_genome
 
 def test_default_configs_validate():
     default_config("bvae").validate()
@@ -135,3 +137,54 @@ def test_ga_settings_validated_at_load(tmp_path):
     path.write_text(json.dumps({"ga": {"population": 1}}))
     with pytest.raises(ValueError, match="population"):
         load_config(path)
+
+
+@pytest.mark.parametrize("family,size", [("bvae", [16, 16]), ("optflow", [24, 32])])
+def test_partial_genome_override_keeps_family_default(family, size):
+    default = default_config(family).genome
+    cfg = config_from_dict({"family": family, "genome": {"size": size}})
+    assert cfg.genome == replace(default, size=tuple(size))
+
+
+def test_genome_unknown_key_refused(tmp_path):
+    with pytest.raises(ValueError, match=re.escape("unknown genome keys ['colour']")):
+        config_from_dict({"genome": {"colour": "gray"}})
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"genome": {"colour": "gray"}}))
+    assert main(["--run-dir", str(tmp_path / "run"), "--config", str(path),
+                 "dataset-generate"]) == 2
+
+
+@pytest.mark.parametrize("missing", ["family", "size", "interpolation"])
+def test_genome_from_dict_names_a_missing_gene(missing):
+    d = {"family": "bvae", "size": [16, 16], "interpolation": "bilinear", "color": "gray"}
+    del d[missing]
+    with pytest.raises(ValueError, match=f"missing '{missing}'"):
+        Genome.from_dict(d)
+
+
+@pytest.mark.parametrize("family", ["bvae", "optflow"])
+def test_complete_genomes_load_unchanged(family):
+    """A genome written by to_dict loads as itself, alone or as a config's
+    genome section; so does one that leaves out the other family's gene."""
+    cfg = default_config(family)
+    rng = np.random.default_rng(0)
+    for name in cfg.ga.buckets:
+        bucket = bucket_from_config(cfg, name)
+        for _ in range(10):
+            g = random_genome(bucket, rng)
+            d = g.to_dict()
+            assert Genome.from_dict(d) == g
+            assert config_from_dict({"family": family, "genome": d}).genome == g
+            short = {k: v for k, v in d.items() if v is not None}
+            assert config_from_dict({"family": family, "genome": short}).genome == g
+
+
+@pytest.mark.parametrize("doc", [[1, 2], "bvae", 3])
+def test_config_top_level_must_be_an_object(tmp_path, doc):
+    with pytest.raises(ValueError, match="a config must be a JSON object"):
+        config_from_dict(doc)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--run-dir", str(tmp_path / "run"), "--config", str(path),
+                 "dataset-generate"]) == 2

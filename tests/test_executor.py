@@ -2,12 +2,16 @@
 order, matches the per-frame scoring loops and every threaded executor, and
 every kind of run ends its threads when a stage fails."""
 
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oodkit
 from oodkit.dataset import (
     DatasetConfig,
     bvae_test_streams,
@@ -20,7 +24,13 @@ from oodkit.gasearch import Genome
 from oodkit.imaging import SceneParams
 from oodkit.network import bvae_spec, of_encoder_spec
 from oodkit.network.model import DetectorModel, build_encoder
-from oodkit.oodcore import DetectorState, PostprocessConfig, build_calibration, score_frame
+from oodkit.oodcore import (
+    CalibrationMismatchError,
+    DetectorState,
+    PostprocessConfig,
+    build_calibration,
+    score_frame,
+)
 from oodkit.optflow import FarnebackParams
 from oodkit.pipeline import (
     CHAIN_MT,
@@ -130,6 +140,45 @@ def test_score_stream_matches_every_executor(case, request):
         scores, _ = run_stream(build_graph(bundle), kind,
                                {"frames": frames, "rate_fps": None}, warmup=2)
         assert np.array_equal(offline, np.asarray([s for s in scores if s is not None]))
+
+
+@pytest.mark.parametrize("case,stages,edges", [
+    ("bvae_case", ["preprocess", "encode", "postprocess"],
+     [("preprocess", "encode"), ("encode", "postprocess")]),
+    ("flow_case", ["preprocess", "encoder_u", "encoder_v", "postprocess"],
+     [("preprocess", "encoder_u"), ("preprocess", "encoder_v"),
+      ("encoder_u", "postprocess"), ("encoder_v", "postprocess")]),
+])
+def test_graph_shape_pinned(case, stages, edges, request):
+    """The stage names and edges of each family's graph: the benchmark's
+    per-stage metric keys. Only the flow frontend keeps state, so mono_mt may
+    run bvae preprocessing in parallel. Every build makes fresh stages, since
+    tracers wrap stage callbacks in place."""
+    bundle, _ = request.getfixturevalue(case)
+    graph = build_graph(bundle)
+    assert [st.name for st in graph.stages] == stages
+    assert graph.edges == edges
+    assert (graph.stages[0].state_factory is not None) == (case == "flow_case")
+    again = build_graph(bundle)
+    assert all(a is not b for a, b in zip(graph.stages, again.stages))
+
+
+def test_flow_bundle_refuses_another_models_calib_v(flow_case):
+    """Each branch is checked: the u pair is right, calib_v is model_u's."""
+    b, _ = flow_case
+    with pytest.raises(CalibrationMismatchError, match="model checksum"):
+        FlowBundle(b.genome, b.model_u, b.model_v, b.calib_u, b.calib_u,
+                   b.postprocess, b.farneback)
+
+
+def test_pipeline_does_not_import_workflow():
+    """The graph layer stands below the bundles: workflow imports pipeline,
+    never the reverse."""
+    code = ("import sys, oodkit.pipeline; "
+            "assert 'oodkit.workflow' not in sys.modules")
+    src = str(Path(oodkit.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                   check=True)
 
 
 def _diamond(fail_at=None):

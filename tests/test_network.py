@@ -22,6 +22,7 @@ from oodkit.network import (
     save_model,
     train,
 )
+import oodkit.network.quantize as quantize
 from oodkit.network.layers import BatchNorm2D, Conv2D, Dense, MaxPool2D, ReLU, Upsample
 from oodkit.network.model import (
     BatchNormSpec,
@@ -378,6 +379,26 @@ def test_quantize_refuses_non_finite_weight():
     with np.errstate(invalid="ignore"), \
             pytest.raises(ValueError, match=re.escape("non-finite input element at index (5, 2)")):
         quantize_model(loaded, train_images(8))
+
+
+@pytest.mark.parametrize("name,idx,value", [
+    ("enc.0.w", (1, 0, 2, 1), np.nan),   # conv
+    ("enc.0.b", (1,), np.inf),
+    ("enc.5.w", (3, 2), -np.inf),        # dense
+    ("enc.5.b", (0,), np.nan),
+])
+def test_quantize_names_a_non_finite_parameter(name, idx, value, monkeypatch):
+    """A NaN or inf conv or dense parameter is refused by its name and index
+    before any activation range is observed."""
+    m = random_model(tiny_spec(), seed=3)
+    dict(m.named_params())[name][idx] = value
+
+    def observe(*args):
+        raise AssertionError("activations observed")
+    monkeypatch.setattr(quantize, "_observe_sites", observe)
+    message = f"cannot quantize {name}: non-finite input element at index {idx}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        quantize_model(m, train_images(8))
 
 
 def test_quantize_requires_calibration_set():

@@ -169,8 +169,6 @@ def test_stage_error_propagates():
 class _FakeBundle:
     """Quacks like a detector bundle for matrix accounting tests."""
 
-    family = "bvae"
-
     def __init__(self, scale, fail=False):
         from oodkit.gasearch import Genome
         self.genome = Genome("bvae", (8, 8), "nearest", color="gray")
