@@ -15,6 +15,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .imaging import RESIZE_METHODS
+
 log = logging.getLogger(__name__)
 
 BVAE = "bvae"
@@ -29,6 +31,13 @@ GRAY = "gray"
 CELL_FAILURES = (ValueError, RuntimeError, ArithmeticError, OSError)
 
 
+def _check_size(size):
+    if not (isinstance(size, tuple) and len(size) == 2
+            and all(isinstance(x, int) and x > 0 for x in size)):
+        raise ValueError(f"size {size!r} is not a (height, width) pair "
+                         "of positive integers")
+
+
 @dataclass(frozen=True)
 class Genome:
     """One preprocessing configuration: the GA individual."""
@@ -40,6 +49,9 @@ class Genome:
     flow_depth: Optional[int] = None  # flow detector only
 
     def __post_init__(self):
+        _check_size(self.size)
+        if self.interpolation not in RESIZE_METHODS:
+            raise ValueError(f"unknown interpolation {self.interpolation!r}")
         if self.family == BVAE:
             if self.color not in (RGB, GRAY):
                 raise ValueError(f"bvae genome needs color rgb/gray, got {self.color!r}")
@@ -73,7 +85,8 @@ class Genome:
         for f in fields(cls):
             if f.default is MISSING and f.name not in d:
                 raise ValueError(f"genome {d!r} is missing {f.name!r}")
-        return cls(**dict(d, size=tuple(d["size"])))
+        size = d["size"]  # a JSON list; anything else reaches the size check as is
+        return cls(**dict(d, size=tuple(size) if isinstance(size, list) else size))
 
 
 # each family's genes, paired with the Bucket field that holds their alleles,
@@ -103,10 +116,7 @@ class Bucket:
             if not getattr(self, alleles):
                 raise ValueError(f"{self.family} bucket needs {gene} alleles")
         for size in self.sizes:
-            if not (isinstance(size, tuple) and len(size) == 2
-                    and all(isinstance(x, int) and x > 0 for x in size)):
-                raise ValueError(f"size {size!r} is not a (height, width) pair "
-                                 "of positive integers")
+            _check_size(size)
 
     def contains(self, g: Genome) -> bool:
         return g.family == self.family and all(

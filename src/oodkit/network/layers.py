@@ -140,17 +140,19 @@ class Conv2D(Layer):
         return dx
 
 
-def _pool_taps(x, k):
-    """The k*k strided views x[:, :, i::k, j::k] cropped to whole windows,
-    in row-major (i, j) order."""
-    oh, ow = x.shape[2] // k, x.shape[3] // k
-    return [x[:, :, i:i + oh * k:k, j:j + ow * k:k] for i in range(k) for j in range(k)]
+def _pool_taps(x, k, axis=2):
+    """The k*k strided views of the spatial axes (axis, axis + 1), as
+    x[:, :, i::k, j::k] for NCHW, cropped to whole windows, row-major."""
+    oh, ow = x.shape[axis] // k, x.shape[axis + 1] // k
+    lead = (slice(None),) * axis
+    return [x[lead + (slice(i, i + oh * k, k), slice(j, j + ow * k, k))]
+            for i in range(k) for j in range(k)]
 
 
-def max_pool(x, k):
-    """Max over non-overlapping k x k windows, dropping trailing rows and
-    columns; exact on float and integer arrays alike."""
-    taps = _pool_taps(x, k)
+def max_pool(x, k, axis=2):
+    """Max over non-overlapping k x k windows on axes (axis, axis + 1), dropping
+    trailing rows and columns; exact on float and integer arrays alike."""
+    taps = _pool_taps(x, k, axis)
     out = taps[0].copy()
     for tap in taps[1:]:
         np.maximum(out, tap, out=out)

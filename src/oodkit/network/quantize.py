@@ -7,8 +7,8 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..tensor import (F16, F32, QINT8, QMAX, QMIN, QuantParams, Tensor, calibrate_quant_params,
-                      check_finite, quantize_affine)
+from ..tensor import (F16, F32, QINT8, QMIN, QuantParams, Tensor, calibrate_quant_params,
+                      check_finite, quantize_affine, requantize)
 from . import layers as L
 from .model import DetectorModel, ModelSpec, build_decoder, build_encoder, named_arrays
 
@@ -52,25 +52,12 @@ def fold_batchnorm(model: DetectorModel) -> DetectorModel:
     return DetectorModel(folded_spec, F32, new_layers, None, metadata=dict(model.metadata))
 
 
-def _requantize(y, qp: QuantParams):
-    """In place: the int8 code clip(round_half_away(y / scale) + zero_point)
-    of each real value in the float64 buffer y, kept as float64."""
-    np.divide(y, qp.scale, out=y)
-    sign = np.sign(y)
-    np.abs(y, out=y)
-    y += 0.5
-    np.floor(y, out=y)
-    y *= sign
-    y += qp.zero_point
-    return np.clip(y, QMIN, QMAX, out=y)
-
-
 class _QConv:
     """Convolution on NHWC codes. The float64 GEMM is exact: each product of
     a centred code (|q - zp| <= 255) and a weight (|w| <= 128) is an integer,
     and so is every partial sum, all far below 2**53."""
 
-    def __init__(self, wq, w_scale, bias, stride, padding, in_qp, out_qp):
+    def __init__(self, wq, w_scale, bias, stride, padding, in_qp, out_qp, floor):
         self.kernel = wq.shape[2]
         # (k*k*C, OC), rows in (kh, kw, C) order: the columns then copy runs of
         # k*C contiguous NHWC codes, faster than the (C, kh, kw) order
@@ -82,6 +69,7 @@ class _QConv:
         self.padding = padding
         self.in_qp = in_qp
         self.out_qp = out_qp
+        self.floor = floor
 
     def run(self, q):
         s, p, k = self.stride, self.padding, self.kernel
@@ -99,37 +87,31 @@ class _QConv:
             y = np.matmul(cols, self.wmat, out=out[blk])
             y *= self.scale
             y += self.bias
-            _requantize(y, self.out_qp)
+            requantize(y, self.out_qp, self.floor)
         return out
 
 
 class _QDense:
-    def __init__(self, wq, w_scale, bias, in_qp, out_qp, emit_f32):
+    """Dense on codes; NHWC input is flattened here. The head (out_qp None)
+    emits float32 real values floored at `floor`: 0.0 applies its ReLU."""
+
+    def __init__(self, wq, w_scale, bias, in_qp, out_qp, floor):
         self.wmat = np.asarray(wq, dtype=np.float64)
         self.scale = in_qp.scale * float(w_scale)
         self.bias = bias.astype(np.float64)
         self.in_qp = in_qp
         self.out_qp = out_qp
-        self.emit_f32 = emit_f32
+        self.floor = floor
 
     def run(self, q):
+        if q.ndim == 4:  # NHWC -> NCHW first, so rows match the float model's flatten order
+            q = q.transpose(0, 3, 1, 2).reshape(q.shape[0], -1)
         y = (q - self.in_qp.zero_point) @ self.wmat
         y *= self.scale
         y += self.bias
-        if self.emit_f32:
-            return y.astype(np.float32)
-        return _requantize(y, self.out_qp)
-
-
-class _QRelu:
-    def __init__(self, zero_point):
-        self.zero_point = zero_point
-
-    def run(self, q):
-        if q.dtype == np.float32:  # head activation after the final dense
-            return np.maximum(q, 0.0)
-        # in place: q is the previous op's output, which nothing else reads
-        return np.maximum(q, self.zero_point, out=q)
+        if self.out_qp is None:  # the cast is monotone and keeps zero: ReLU first
+            return np.maximum(y, self.floor, out=y).astype(np.float32)
+        return requantize(y, self.out_qp, self.floor)
 
 
 class _QMaxPool:
@@ -137,21 +119,7 @@ class _QMaxPool:
         self.kernel = kernel
 
     def run(self, q):
-        # layers.max_pool's running maximum over the k*k strided taps, on the
-        # NHWC spatial axes (1, 2); trailing rows and columns are dropped
-        k = self.kernel
-        oh, ow = q.shape[1] // k, q.shape[2] // k
-        taps = [q[:, i:i + oh * k:k, j:j + ow * k:k] for i in range(k) for j in range(k)]
-        out = taps[0].copy()
-        for tap in taps[1:]:
-            np.maximum(out, tap, out=out)
-        return out
-
-
-class _QFlatten:
-    def run(self, q):
-        # NHWC -> NCHW first, so rows match the float model's flatten order
-        return q.transpose(0, 3, 1, 2).reshape(q.shape[0], -1)
+        return L.max_pool(q, self.kernel, axis=1)  # NHWC spatial axes
 
 
 class QuantizedEncoder:
@@ -161,17 +129,18 @@ class QuantizedEncoder:
     quantized tensors (name -> Tensor) and the site table (name -> (scale,
     zero_point)): what a qint8 model file stores."""
 
-    def __init__(self, weights: dict, sites: dict, ops):
+    def __init__(self, weights: dict, sites: dict, ops, input_floor):
         self.weights = dict(weights)
         self.sites = dict(sites)
         self.input_qp = QuantParams(*self.sites["input"])
+        self.input_floor = input_floor
         self.ops = ops
 
     def forward(self, xs: np.ndarray) -> np.ndarray:
-        q = _requantize(xs.astype(np.float64), self.input_qp).transpose(0, 2, 3, 1)
+        q = requantize(xs.astype(np.float64), self.input_qp, self.input_floor).transpose(0, 2, 3, 1)
         for op in self.ops:
             q = op.run(q)
-        return q.astype(np.float32)
+        return q
 
 
 ACT_PERCENTILE = 99.95  # clip activation-range outliers before deriving scales
@@ -224,33 +193,40 @@ def quantize_model(model: DetectorModel, calibration_images) -> DetectorModel:
 
 def rebuild_quantized(spec: ModelSpec, weights: dict, sites: dict, metadata: dict) -> DetectorModel:
     """The qint8 model's integer execution plan, built from its quantized
-    tensors and its site table (name -> (scale, zero_point))."""
+    tensors and its site table (name -> (scale, zero_point)): one op per
+    conv, max-pool and dense. A flatten is the next dense's reshape. A ReLU
+    on codes is max(q, zp), which commutes with max-pool and flatten: it is
+    the clip floor of the requantize that coded its site, as QMIN <= zp
+    makes clip(y, zp, QMAX) == max(clip(y, QMIN, QMAX), zp)."""
     qps = {k: QuantParams(s, z) for k, (s, z) in sites.items()}
     last_dense = max(i for i, ls in enumerate(spec.layers) if ls.kind == "dense")
-    ops = []
-    cur_site = "input"
+    at = ["input"]  # at[i]: the site of layer i's input codes, at[i + 1] of its output's
     for i, ls in enumerate(spec.layers):
+        at.append(f"out.{i}" if ls.kind in ("conv2d", "dense") else at[-1])
+    relu_sites = {at[i + 1] for i, ls in enumerate(spec.layers) if ls.kind == "relu"}
+
+    def floor(site):
+        return qps[site].zero_point if site in relu_sites else QMIN
+
+    ops = []
+    for i, ls in enumerate(spec.layers):
+        in_qp, site = qps[at[i]], at[i + 1]
         if ls.kind in ("conv2d", "dense"):
-            wt = weights[f"enc.{i}.w"]
-            bias = weights[f"enc.{i}.b"].data
-            out_site = f"out.{i}"
+            wt, bias = weights[f"enc.{i}.w"], weights[f"enc.{i}.b"].data
             if ls.kind == "conv2d":
                 ops.append(_QConv(wt.data, wt.quant.scale, bias, ls.stride, ls.padding,
-                                  qps[cur_site], qps[out_site]))
+                                  in_qp, qps[site], floor(site)))
+            elif i < last_dense:
+                ops.append(_QDense(wt.data, wt.quant.scale, bias, in_qp, qps[site], floor(site)))
             else:
-                ops.append(_QDense(wt.data, wt.quant.scale, bias,
-                                   qps[cur_site], qps[out_site], i == last_dense))
-            cur_site = out_site
-        elif ls.kind == "relu":
-            ops.append(_QRelu(qps[cur_site].zero_point))
+                ops.append(_QDense(wt.data, wt.quant.scale, bias, in_qp, None,
+                                   0.0 if site in relu_sites else -np.inf))
         elif ls.kind == "maxpool2d":
             ops.append(_QMaxPool(ls.kernel))
-        elif ls.kind == "flatten":
-            ops.append(_QFlatten())
-        else:
+        elif ls.kind not in ("relu", "flatten"):
             raise ValueError(f"cannot quantize layer kind {ls.kind!r}")
-    return DetectorModel(spec, QINT8, [], None,
-                         quantized=QuantizedEncoder(weights, sites, ops), metadata=metadata)
+    return DetectorModel(spec, QINT8, [], None, metadata=metadata,
+                         quantized=QuantizedEncoder(weights, sites, ops, floor("input")))
 
 
 def cast_model_f16(model: DetectorModel) -> DetectorModel:

@@ -457,14 +457,13 @@ def bench_matrix(bundles: dict, precisions, kinds, frames, labels,
     bundles mapping precision -> bundle, under an identical frame source.
     Returns a list of row dicts. A cell that raises one of CELL_FAILURES
     carries an 'error' entry and the run continues; any other exception is a
-    programming error and propagates. AUROC deltas are relative to the f32
-    cell (score sequences are executor-invariant, so the baseline is
-    computed once)."""
+    programming error and propagates. AUROC deltas are relative to the first
+    scored f32 cell, wherever precisions lists f32 (score sequences are
+    executor-invariant, so one baseline serves every row)."""
     frames = list(frames)[:cfg.n_frames]
     labels = list(labels)[:cfg.n_frames]
     family = next(iter(bundles.values())).genome.family
     rows = []
-    baseline_auroc = None
     for precision in precisions:
         bundle = bundles.get(precision)
         for kind in kinds:
@@ -488,13 +487,13 @@ def bench_matrix(bundles: dict, precisions, kinds, frames, labels,
                     "p99_ms": report.p99 * 1e3, "max_ms": report.max * 1e3,
                 })
                 row["auroc"] = _stream_auroc(scores, labels)
-                if precision == "f32" and baseline_auroc is None:
-                    baseline_auroc = row["auroc"]
-                if row["auroc"] is not None and baseline_auroc is not None:
-                    row["auroc_delta_vs_baseline"] = row["auroc"] - baseline_auroc
             except CELL_FAILURES as exc:
                 row["error"] = f"{type(exc).__name__}: {exc}"
             rows.append(row)
+    base = [r["auroc"] for r in rows if r["precision"] == "f32" and r.get("auroc") is not None]
+    for row in rows:
+        if base and row.get("auroc") is not None:
+            row["auroc_delta_vs_baseline"] = row["auroc"] - base[0]
     return rows
 
 

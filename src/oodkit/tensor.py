@@ -88,10 +88,12 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.dtype})"
 
 
-def round_half_away(x: np.ndarray) -> np.ndarray:
-    """Round to nearest integer, ties away from zero (np.round ties to even)."""
-    x = np.asarray(x)
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+def round_half_away(x: np.ndarray, out=None) -> np.ndarray:
+    """Round to nearest integer, ties away from zero (np.round ties to even),
+    as trunc(x + copysign(0.5, x)). Its values equal sign(x) * floor(|x| + 0.5),
+    since IEEE addition rounds x - 0.5 to exactly -(|x| + 0.5); only -0.0 keeps
+    its sign."""
+    return np.trunc(np.add(x, np.copysign(0.5, x), out=out), out=out)
 
 
 def check_finite(arr: np.ndarray, context: str = ""):
@@ -102,13 +104,21 @@ def check_finite(arr: np.ndarray, context: str = ""):
         raise ValueError(f"{context}non-finite input element at index {idx}")
 
 
+def requantize(y: np.ndarray, qp: QuantParams, floor: int = QMIN) -> np.ndarray:
+    """In place: the int8 code clip(round_half_away(y / scale) + zero_point,
+    floor, QMAX) of each real value in the float64 buffer y, kept as float64.
+    A floor at the zero point applies a ReLU: on codes it is max(q, zp)."""
+    np.divide(y, qp.scale, out=y)
+    round_half_away(y, out=y)
+    y += qp.zero_point
+    return np.clip(y, floor, QMAX, out=y)
+
+
 def quantize_affine(x, qp: QuantParams) -> Tensor:
     """Quantize f32 values to int8: q = clamp(round(x/scale) + zero_point, -128, 127)."""
     arr = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float32)
     check_finite(arr)
-    q = round_half_away(arr.astype(np.float64) / qp.scale) + qp.zero_point
-    q = np.clip(q, QMIN, QMAX)
-    return Tensor.qint8(q.astype(np.int8), qp)
+    return Tensor.qint8(requantize(arr.astype(np.float64), qp), qp)
 
 
 def dequantize(q: Tensor) -> Tensor:

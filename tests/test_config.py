@@ -16,6 +16,7 @@ from oodkit.config import (
     save_config,
 )
 from oodkit.gasearch import Genome, random_genome
+from oodkit.imaging import RESIZE_METHODS
 
 def test_default_configs_validate():
     default_config("bvae").validate()
@@ -153,6 +154,31 @@ def test_genome_unknown_key_refused(tmp_path):
     path.write_text(json.dumps({"genome": {"colour": "gray"}}))
     assert main(["--run-dir", str(tmp_path / "run"), "--config", str(path),
                  "dataset-generate"]) == 2
+
+
+@pytest.mark.parametrize("family,genome,match", [
+    ("bvae", {"interpolation": "lanczos"}, "unknown interpolation 'lanczos'"),
+    ("optflow", {"size": [0, -3]}, "size (0, -3) is not a (height, width) pair"),
+    ("bvae", {"size": [48.5, 48.5]}, "size (48.5, 48.5) is not a (height, width) pair"),
+    ("bvae", {"size": 48}, "size 48 is not a (height, width) pair"),
+])
+def test_malformed_genome_refused_at_load(tmp_path, family, genome, match):
+    doc = {"family": family, "genome": genome}
+    with pytest.raises(ValueError, match=re.escape(match)):
+        config_from_dict(doc)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--run-dir", str(tmp_path / "run"), "--config", str(path),
+                 "dataset-generate"]) == 2
+
+
+@pytest.mark.parametrize("family", ["bvae", "optflow"])
+@pytest.mark.parametrize("method", RESIZE_METHODS)
+def test_genome_takes_every_resize_method(family, method):
+    # the GA draws bvae interpolations from three methods; a configured bvae
+    # genome may still name any that imaging.resize takes, area included
+    cfg = config_from_dict({"family": family, "genome": {"interpolation": method}})
+    assert cfg.genome.interpolation == method
 
 
 @pytest.mark.parametrize("missing", ["family", "size", "interpolation"])

@@ -37,7 +37,7 @@ from oodkit.network.model import (
 )
 from oodkit.network.serial import OodmChecksumError, OodmError, OodmMagicError
 from oodkit.network.train import loss_and_grads
-from oodkit.tensor import QuantParams, Tensor, round_half_away
+from oodkit.tensor import QuantParams, Tensor
 
 
 def conv_reference(x, w, b, stride, padding):
@@ -604,20 +604,18 @@ def test_load_refuses_invalid_qint8_model(edit, match, monkeypatch):
 
 def test_quantized_path_matches_f32_at_fine_scales():
     # synthetic fine-grained QuantParams: the integer path converges on f32
-    from oodkit.network.quantize import QuantizedEncoder, _QDense, _QFlatten, _QRelu
-    from oodkit.tensor import QuantParams
+    from oodkit.network.quantize import rebuild_quantized
     rng = np.random.default_rng(20)
-    w = (rng.uniform(-0.1, 0.1, (4, 3)) * 1000).round() / 1000
-    b = np.zeros(3)
+    w = (rng.uniform(-0.1, 0.1, (4, 4)) * 1000).round() / 1000
+    b = np.zeros(4)
     x = (rng.uniform(-0.1, 0.1, (5, 4)) * 1000).round() / 1000
     f32_out = np.maximum(x @ w + b, 0.0)
     s_w = 1e-3
     wq = np.round(w / s_w).astype(np.int8)
-    in_qp = QuantParams(1e-3, 0)
-    out_qp = QuantParams(1e-3, 0)
-    enc = QuantizedEncoder({}, {"input": (1e-3, 0)},
-                           [_QFlatten(), _QDense(wq, s_w, b, in_qp, out_qp, emit_f32=True), _QRelu(0)])
-    q_out = enc.forward(x.astype(np.float32)[:, :, None, None])  # (N, C, 1, 1) images
+    spec = ModelSpec((1, 1), 4, (FlattenSpec(), DenseSpec(4), ReluSpec()), 2, 1.0)
+    weights = {"enc.1.w": Tensor.qint8(wq, QuantParams(s_w, 0)), "enc.1.b": Tensor.f32(b)}
+    q = rebuild_quantized(spec, weights, {"input": (1e-3, 0), "out.1": (1e-3, 0)}, {})
+    q_out = q.quantized.forward(x.astype(np.float32)[:, :, None, None])  # (N, C, 1, 1) images
     assert np.allclose(q_out, f32_out, atol=1e-5)
 
 
@@ -846,7 +844,9 @@ def test_maxpool_kernel_exact_on_integer_codes():
 # formulation the float64 NHWC plan must reproduce bit for bit.
 
 def ref_requantize(y, qp):
-    return np.clip(round_half_away(y / qp.scale) + qp.zero_point, -128, 127).astype(np.int64)
+    y = y / qp.scale
+    half_away = np.sign(y) * np.floor(np.abs(y) + 0.5)  # round half away from zero
+    return np.clip(half_away + qp.zero_point, -128, 127).astype(np.int64)
 
 
 class RefQConv:
@@ -901,11 +901,21 @@ class RefQFlatten:
         return q.reshape(q.shape[0], -1)
 
 
+class RefQRelu:
+    def __init__(self, zero_point):
+        self.zero_point = zero_point
+
+    def run(self, q):
+        if q.dtype == np.float32:  # real values after the head dense
+            return np.maximum(q, 0.0)
+        return np.maximum(q, self.zero_point)
+
+
 class RefQuantizedEncoder:
-    """The int64 plan of a qint8 model, built from its tensors and sites."""
+    """The int64 plan of a qint8 model, built from its tensors and sites:
+    one op per layer, ReLU and flatten included."""
 
     def __init__(self, qmodel):
-        from oodkit.network.quantize import _QRelu
         spec, weights = qmodel.spec, qmodel.quantized.weights
         self.qps = {k: QuantParams(s, z) for k, (s, z) in qmodel.quantized.sites.items()}
         last_dense = max(i for i, ls in enumerate(spec.layers) if ls.kind == "dense")
@@ -921,7 +931,7 @@ class RefQuantizedEncoder:
                     RefQDense(wt.data, wt.quant.scale, bias, *io, i == last_dense))
                 site = f"out.{i}"
             elif ls.kind == "relu":
-                self.ops.append(_QRelu(self.qps[site].zero_point))
+                self.ops.append(RefQRelu(self.qps[site].zero_point))
             elif ls.kind == "maxpool2d":
                 self.ops.append(RefQPool(ls.kernel))
             else:
@@ -981,6 +991,31 @@ def test_quantized_plan_bit_equal_to_int64_reference(spec):
             mu, var = m.encode_batch(batch)
             mu_ref, var_ref = ref.encode_batch(batch)
             assert np.array_equal(mu, mu_ref) and np.array_equal(var, var_ref)
+
+
+_CONV, _POOL, _FLAT = ConvSpec(4, 3, 1, 1), MaxPoolSpec(2), FlattenSpec()
+
+
+@pytest.mark.parametrize("layers", [
+    (ReluSpec(), _CONV, ReluSpec(), _POOL, _FLAT, DenseSpec(8), ReluSpec(), DenseSpec(4)),
+    (_CONV, _POOL, ReluSpec(), _FLAT, DenseSpec(8), DenseSpec(4), ReluSpec()),
+    (_CONV, _POOL, _FLAT, ReluSpec(), DenseSpec(4)),
+    (_CONV, ReluSpec(), ReluSpec(), _POOL, _FLAT, DenseSpec(8), ReluSpec(), ReluSpec(),
+     DenseSpec(4), ReluSpec(), ReluSpec()),
+], ids=["relu_first", "relu_after_pool", "relu_after_flatten", "relu_twice"])
+def test_quantized_relu_fold_bit_equal_to_int64_reference(layers):
+    # inputs and pre-ReLU sites span zero, so every ReLU's clip floor cuts codes
+    spec = ModelSpec((8, 8), 2, layers, n_latent=2, beta=1.0)
+    rng = np.random.default_rng(44)
+    q = quantize_model(random_model(spec, 45), rng.uniform(-1, 1, (16, 2, 8, 8)).astype(np.float32))
+    plan = q.quantized
+    assert [type(op).__name__ for op in plan.ops] == [
+        {"conv2d": "_QConv", "maxpool2d": "_QMaxPool", "dense": "_QDense"}[ls.kind]
+        for ls in layers if ls.kind not in ("relu", "flatten")]
+    xs = rng.uniform(-1, 1, (40, 2, 8, 8)).astype(np.float32)
+    want = RefQuantizedEncoder(q).forward(xs)
+    assert np.array_equal(plan.forward(xs), want)
+    assert np.array_equal(load_model(save_model(q)).quantized.forward(xs), want)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -209,3 +209,16 @@ def test_bench_matrix_accounting(monkeypatch):
     csv = bench_rows_to_csv(rows)
     assert csv.count("\n") == len(rows) + 1
     assert csv.splitlines()[0].startswith("family,genome,precision,executor,input_size")
+
+
+def test_bench_matrix_baseline_listed_last(monkeypatch):
+    # the f32 cell is the AUROC baseline wherever precisions lists it
+    import oodkit.pipeline as pl
+    monkeypatch.setattr(pl, "build_graph", _fake_graph)
+    bundles = {"f32": _FakeBundle(1.0), "f16": _FakeBundle(-1.0)}
+    frames = list(np.linspace(0.0, 1.0, 60))
+    labels = [i >= 30 for i in range(60)]
+    rows = pl.bench_matrix(bundles, ["f16", "f32"], (ExecutorKind(MONO_ST),), frames, labels,
+                           BenchConfig(n_frames=60, rate_fps=None, warmup=10))
+    assert [(r["precision"], r["auroc"], r["auroc_delta_vs_baseline"]) for r in rows] == [
+        ("f16", 0.0, -1.0), ("f32", 1.0, 0.0)]

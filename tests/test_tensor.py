@@ -10,6 +10,7 @@ from oodkit.tensor import (
     dequantize,
     f32_to_f16,
     quantize_affine,
+    round_half_away,
 )
 
 
@@ -58,6 +59,19 @@ def test_quantize_rounds_ties_away_from_zero():
     assert quantize_affine(np.float32([0.5]), qp).data[0] == 1
     assert quantize_affine(np.float32([-0.5]), qp).data[0] == -1
     assert quantize_affine(np.float32([2.5]), qp).data[0] == 3
+
+
+def test_round_half_away_equals_sign_floor_form():
+    k = np.arange(0.0, 2.0**52, 2.0**52 / 997).round()
+    ties = np.concatenate([k + 0.5, -(k + 0.5), [0.5, 1.5, -0.5, -1.5, 2.0**52 - 0.5]])
+    near = np.concatenate([np.nextafter(ties, 0), np.nextafter(ties, np.inf)])
+    x = np.concatenate([ties, near, [0.0, -0.0]])
+    want = np.sign(x) * np.floor(np.abs(x) + 0.5)
+    assert np.array_equal(round_half_away(x), want)
+    assert np.array_equal(round_half_away(ties), ties + np.copysign(0.5, ties))
+    out = x.copy()
+    assert round_half_away(out, out=out) is out and np.array_equal(out, want)
+    assert round_half_away(-2.5) == -3.0 and round_half_away(np.float32(2.5)) == 3.0
 
 
 def test_quantize_rejects_non_finite():
