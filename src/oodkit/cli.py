@@ -103,13 +103,19 @@ def _calib_paths(run: Path, family: str, precision: str):
 
 
 def _load_models(run: Path, family: str, precision: str):
-    """The models of every branch, and the genome they were trained for."""
+    """The models of every branch, and the genome they were all trained for."""
+    paths = _model_paths(run, family, precision)
     models = []
-    for p in _model_paths(run, family, precision):
+    for p in paths:
         if not p.exists():
             raise FileNotFoundError(f"missing model {p}; run train/quantize first")
         models.append(load_model(p.read_bytes()))
-    return models, Genome.from_dict(models[0].metadata["genome"])
+    genomes = [Genome.from_dict(m.metadata["genome"]) for m in models]
+    for p, genome in zip(paths[1:], genomes[1:]):
+        if genome != genomes[0]:
+            raise ValueError(f"{paths[0]} was trained for {genomes[0]} but {p} for {genome}; "
+                             "run train again")
+    return models, genomes[0]
 
 
 def _load_bundle(run: Path, cfg: ExperimentConfig, precision: str):

@@ -1,6 +1,11 @@
 """Dense optical flow: Gaussian-weighted quadratic expansion of image
 neighborhoods, coarse-to-fine displacement estimation, flow stacking for the
-motion-based detector."""
+motion-based detector.
+
+The kernels take any number of leading axes and index the image axes from the
+end, so one call can solve a block of frame pairs: every float operation is
+elementwise or a sequential running sum along an image axis, so a batched
+result equals the per-pair one bit for bit."""
 
 from __future__ import annotations
 
@@ -8,6 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.array_utils import normalize_axis_index
 
 from .imaging import LUMA_WEIGHTS, Image
 
@@ -34,6 +40,8 @@ class FarnebackParams:
             raise ValueError(f"poly_n must be odd and >= 3, got {self.poly_n}")
         if self.poly_sigma <= 0:
             raise ValueError("poly_sigma must be > 0")
+        # solved here once, so no flow call, on whatever thread, runs LAPACK
+        _poly_taps(self.poly_n, self.poly_sigma)
 
 
 class FlowField:
@@ -46,8 +54,7 @@ class FlowField:
         v = np.ascontiguousarray(v, dtype=np.float32)
         if u.shape != v.shape or u.ndim != 2:
             raise ValueError(f"u/v must be equal 2-d arrays, got {u.shape} vs {v.shape}")
-        if not (np.isfinite(u).all() and np.isfinite(v).all()):
-            raise ValueError("flow field contains non-finite values")
+        _require_finite(u, v)
         u.flags.writeable = False
         v.flags.writeable = False
         object.__setattr__(self, "u", u)
@@ -63,6 +70,11 @@ class FlowField:
     @property
     def width(self) -> int:
         return self.u.shape[1]
+
+
+def _require_finite(*arrays):
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("flow field contains non-finite values")
 
 
 def _gray_f32(img: Image) -> np.ndarray:
@@ -92,6 +104,7 @@ def _along(axis: int, start, stop) -> tuple:
 def _correlate_axis(arr: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
     """Correlation along one axis, borders replicated: the float64 sum of
     kernel[t] * padded[t:t + n], taken in ascending tap order."""
+    axis = normalize_axis_index(axis, arr.ndim)
     n = arr.shape[axis]
     # the gather builds the same array as np.pad(mode="edge") without its
     # per-call overhead; the cast keeps float32 input summed in float64
@@ -103,16 +116,22 @@ def _correlate_axis(arr: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarra
     return out
 
 
-def _poly_channels(f: np.ndarray, poly_n: int, poly_sigma: float):
-    """Gaussian-weighted quadratic fit f(x) ~ x^T A x + b^T x + c over the odd
-    poly_n window at every pixel, borders replicated: the (H, W, 5) f32
-    coefficient planes in channel order (by, bx, ayy, axx, 2*axy)."""
+@lru_cache(maxsize=128)
+def _gaussian_taps(sigma: float, ksize: int) -> np.ndarray:
+    """The normalized float64 Gaussian of the odd ksize window."""
+    xs = np.arange(-(ksize // 2), ksize // 2 + 1, dtype=np.float64)
+    k = np.exp(-(xs**2) / (2 * sigma**2))
+    k /= k.sum()
+    return _frozen(k)
+
+
+@lru_cache(maxsize=128)
+def _poly_taps(poly_n: int, poly_sigma: float) -> tuple:
+    """The expansion's three separable taps (g, x*g, x^2*g) and the entries
+    (ig11, ig03, ig33, ig55) of its inverse normal-equation matrix."""
     n = poly_n // 2
     xs = np.arange(-n, n + 1, dtype=np.float64)
-    g = np.exp(-(xs**2) / (2 * poly_sigma**2))
-    g /= g.sum()
-    xg = xs * g
-    xxg = xs * xs * g
+    g = _gaussian_taps(poly_sigma, poly_n)
 
     # normal-equation matrix over the basis (1, x, y, x^2, y^2, xy)
     wx = g[None, :] * g[:, None]
@@ -120,19 +139,27 @@ def _poly_channels(f: np.ndarray, poly_n: int, poly_sigma: float):
     basis = np.stack([np.ones_like(X), X, Y, X**2, Y**2, X * Y])
     G = np.einsum("iyx,jyx,yx->ij", basis, basis, wx)
     inv = np.linalg.inv(G)
-    ig11, ig03, ig33, ig55 = inv[1, 1], inv[0, 3], inv[3, 3], inv[5, 5]
+    return (g, _frozen(xs * g), _frozen(xs * xs * g),
+            inv[1, 1], inv[0, 3], inv[3, 3], inv[5, 5])
+
+
+def _poly_channels(f: np.ndarray, poly_n: int, poly_sigma: float):
+    """Gaussian-weighted quadratic fit f(x) ~ x^T A x + b^T x + c over the odd
+    poly_n window at every pixel, borders replicated: the (..., H, W, 5) f32
+    coefficient planes in channel order (by, bx, ayy, axx, 2*axy)."""
+    g, xg, xxg, ig11, ig03, ig33, ig55 = _poly_taps(poly_n, poly_sigma)
 
     f = f.astype(np.float64)
-    v0 = _correlate_axis(f, g, axis=0)
-    v1 = _correlate_axis(f, xg, axis=0)
-    v2 = _correlate_axis(f, xxg, axis=0)
+    v0 = _correlate_axis(f, g, axis=-2)
+    v1 = _correlate_axis(f, xg, axis=-2)
+    v2 = _correlate_axis(f, xxg, axis=-2)
 
-    m1 = _correlate_axis(v0, g, axis=1)
-    mx = _correlate_axis(v0, xg, axis=1)
-    mxx = _correlate_axis(v0, xxg, axis=1)
-    my = _correlate_axis(v1, g, axis=1)
-    mxy = _correlate_axis(v1, xg, axis=1)
-    myy = _correlate_axis(v2, g, axis=1)
+    m1 = _correlate_axis(v0, g, axis=-1)
+    mx = _correlate_axis(v0, xg, axis=-1)
+    mxx = _correlate_axis(v0, xxg, axis=-1)
+    my = _correlate_axis(v1, g, axis=-1)
+    mxy = _correlate_axis(v1, xg, axis=-1)
+    myy = _correlate_axis(v2, g, axis=-1)
 
     r = np.empty(f.shape + (5,), dtype=np.float32)
     r[..., 0] = ig11 * my
@@ -166,10 +193,18 @@ def _pixel_grid(h: int, w: int):
     return _frozen(gy), _frozen(gx)
 
 
+@lru_cache(maxsize=128)
+def _pair_offsets(lead: tuple, hw: int) -> np.ndarray:
+    """Flat index of each pair's first pixel in a (*lead, H, W) block."""
+    return _frozen((np.arange(np.prod(lead, dtype=np.int64)) * hw).reshape(lead + (1, 1)))
+
+
 def _update_matrices(r0: np.ndarray, r1: np.ndarray, flow: np.ndarray) -> np.ndarray:
     """Per-pixel normal equations for the displacement increment, from the two
-    coefficient fields and the current flow estimate (used to warp r1)."""
-    h, w = flow.shape[:2]
+    coefficient fields and the current flow estimate (used to warp r1); any
+    leading axes index frame pairs."""
+    lead = flow.shape[:-3]
+    h, w = flow.shape[-3:-1]
     u = flow[..., 0]
     v = flow[..., 1]
     gy, gx = _pixel_grid(h, w)
@@ -189,9 +224,11 @@ def _update_matrices(r0: np.ndarray, r1: np.ndarray, flow: np.ndarray) -> np.nda
     a01 = (tx * (1 - ty))[..., None]
     a10 = ((1 - tx) * ty)[..., None]
     a11w = (tx * ty)[..., None]
-    # the four neighbours, gathered from the (h*w, 5) view at flat indices
-    r1f = r1.reshape(h * w, 5)
+    # the four neighbours, gathered from the (pairs*h*w, 5) view at flat indices
+    r1f = r1.reshape(-1, 5)
     i00 = y1c * w + x1c
+    if lead:
+        i00 += _pair_offsets(lead, h * w)
     r1w = (a00 * np.take(r1f, i00, axis=0) + a01 * np.take(r1f, i00 + 1, axis=0)
            + a10 * np.take(r1f, i00 + w, axis=0) + a11w * np.take(r1f, i00 + w + 1, axis=0))
 
@@ -211,7 +248,7 @@ def _update_matrices(r0: np.ndarray, r1: np.ndarray, flow: np.ndarray) -> np.nda
     r5 = r5 * scale
     r6 = r6 * scale
 
-    m = np.empty((h, w, 5), dtype=np.float32)
+    m = np.empty(lead + (h, w, 5), dtype=np.float32)
     m[..., 0] = r4 * r4 + r6 * r6
     m[..., 1] = (r4 + r5) * r6
     m[..., 2] = r5 * r5 + r6 * r6
@@ -223,9 +260,10 @@ def _update_matrices(r0: np.ndarray, r1: np.ndarray, flow: np.ndarray) -> np.nda
 def _box_filter(arr: np.ndarray, win: int) -> np.ndarray:
     """Mean over the win x win window of each pixel, borders replicated: along
     each axis, a float64 running sum S over the edge-padded samples (S[0] = 0)
-    gives (S[i + win] - S[i]) / win (Crow 1984, summed-area tables)."""
+    gives (S[i + win] - S[i]) / win (Crow 1984, summed-area tables). The
+    window axes are the two before the last (channel) axis."""
     out = arr
-    for axis in (0, 1):
+    for axis in (arr.ndim - 3, arr.ndim - 2):
         n = out.shape[axis]
         padded = np.take(out, _edge_index(n, win // 2), axis=axis)
         s = np.zeros(padded.shape[:axis] + (n + win,) + padded.shape[axis + 1:])
@@ -241,14 +279,15 @@ def _update_flow(m: np.ndarray, window_size: int) -> np.ndarray:
     g11 = g11 + lam
     g22 = g22 + lam
     det = g11 * g22 - g12 * g12
-    flow = np.empty(m.shape[:2] + (2,), dtype=np.float32)
+    flow = np.empty(m.shape[:-1] + (2,), dtype=np.float32)
     flow[..., 0] = (g11 * h2 - g12 * h1) / det
     flow[..., 1] = (g22 * h1 - g12 * h2) / det
     return flow
 
 
 def _resize_bilinear_f32(arr: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    h, w = arr.shape[:2]
+    """Bilinear resize of the (..., H, W, C) array's image axes."""
+    h, w = arr.shape[-3:-1]
     if (h, w) == (out_h, out_w):
         return arr
     ys = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0, h - 1)
@@ -259,19 +298,20 @@ def _resize_bilinear_f32(arr: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     x1 = np.minimum(x0 + 1, w - 1)
     fy = (ys - y0).astype(np.float32)
     fx = (xs - x0).astype(np.float32)
-    # weights broadcast over the rows, columns and any trailing channel axis
-    fy = fy.reshape((out_h,) + (1,) * (arr.ndim - 1))
-    fx = fx.reshape((out_w,) + (1,) * (arr.ndim - 2))
-    top = arr[y0][:, x0] * (1 - fx) + arr[y0][:, x1] * fx
-    bot = arr[y1][:, x0] * (1 - fx) + arr[y1][:, x1] * fx
+    # weights broadcast over the rows, columns and the channel axis
+    fy = fy.reshape(out_h, 1, 1)
+    fx = fx.reshape(out_w, 1)
+    rows0 = arr[..., y0, :, :]
+    rows1 = arr[..., y1, :, :]
+    top = rows0[..., x0, :] * (1 - fx) + rows0[..., x1, :] * fx
+    bot = rows1[..., x0, :] * (1 - fx) + rows1[..., x1, :] * fx
     return (top * (1 - fy) + bot * fy).astype(np.float32)
 
 
 def _gaussian_blur(arr: np.ndarray, sigma: float, ksize: int) -> np.ndarray:
-    xs = np.arange(-(ksize // 2), ksize // 2 + 1, dtype=np.float64)
-    k = np.exp(-(xs**2) / (2 * sigma**2))
-    k /= k.sum()
-    return _correlate_axis(_correlate_axis(arr, k, axis=0), k, axis=1).astype(np.float32)
+    """Separable Gaussian blur of the (..., H, W) array's image axes."""
+    k = _gaussian_taps(sigma, ksize)
+    return _correlate_axis(_correlate_axis(arr, k, axis=-2), k, axis=-1).astype(np.float32)
 
 
 _MIN_PYR_SIZE = 16
@@ -289,10 +329,11 @@ class FlowPyramid:
     params: FarnebackParams
 
 
-def expand_frame(img: Image, params: FarnebackParams = FarnebackParams()) -> FlowPyramid:
-    """Gray conversion, Gaussian pyramid and polynomial expansion of one frame."""
-    gray = _gray_f32(img)
-    h, w = gray.shape
+def _expand(gray: np.ndarray, params: FarnebackParams) -> list:
+    """Gaussian pyramid and polynomial expansion of the (..., H, W) gray
+    frames: the (..., h, w, 5) coefficient planes of each level, coarsest
+    first."""
+    h, w = gray.shape[-2:]
 
     levels = 0
     scale = 1.0
@@ -310,11 +351,19 @@ def expand_frame(img: Image, params: FarnebackParams = FarnebackParams()) -> Flo
             lh = max(int(round(h * s)), 1)
             sigma = (1.0 / s - 1.0) * 0.5
             ksize = max(int(round(sigma * 5)) | 1, 3)
-            level = _resize_bilinear_f32(_gaussian_blur(gray, sigma, ksize), lh, lw)
+            blurred = _gaussian_blur(gray, sigma, ksize)[..., None]
+            level = _resize_bilinear_f32(blurred, lh, lw)[..., 0]
         else:
             level = gray
         planes.append(_frozen(_poly_channels(level, params.poly_n, params.poly_sigma)))
-    return FlowPyramid(tuple(planes), w, h, params)
+    return planes
+
+
+def expand_frame(img: Image, params: FarnebackParams = FarnebackParams()) -> FlowPyramid:
+    """Gray conversion, Gaussian pyramid and polynomial expansion of one frame."""
+    gray = _gray_f32(img)
+    h, w = gray.shape
+    return FlowPyramid(tuple(_expand(gray, params)), w, h, params)
 
 
 def _expanded(frame: Image | FlowPyramid, params: FarnebackParams) -> FlowPyramid:
@@ -332,14 +381,29 @@ def farneback_flow(prev: Image | FlowPyramid, next: Image | FlowPyramid,
     if (prev.width, prev.height) != (next.width, next.height):
         raise ValueError(
             f"frame dimensions differ: {prev.width}x{prev.height} vs {next.width}x{next.height}")
-    pyr0 = _expanded(prev, params)
-    pyr1 = _expanded(next, params)
+    flow = _solve(_expanded(prev, params).planes, _expanded(next, params).planes, params)
+    return FlowField(flow[..., 0], flow[..., 1])
 
+
+def farneback_flows(frames, params: FarnebackParams = FarnebackParams()) -> np.ndarray:
+    """Dense flow of each consecutive pair of a block of equal-sized frames:
+    the (len(frames) - 1, H, W, 2) f32 flows, (u, v) in the last axis. Each
+    one equals farneback_flow of its pair bit for bit; non-finite flows are
+    refused as FlowField refuses them."""
+    planes = _expand(np.stack([_gray_f32(img) for img in frames]), params)
+    flow = _solve([p[:-1] for p in planes], [p[1:] for p in planes], params)
+    _require_finite(flow)
+    return flow
+
+
+def _solve(planes0, planes1, params: FarnebackParams) -> np.ndarray:
+    """Coarse-to-fine flow (..., H, W, 2) from the coefficient planes of each
+    pyramid level of the earlier and the later frames."""
     flow = None
-    for r0, r1 in zip(pyr0.planes, pyr1.planes):
-        lh, lw = r0.shape[:2]
+    for r0, r1 in zip(planes0, planes1):
+        lh, lw = r0.shape[-3:-1]
         if flow is None:
-            flow = np.zeros((lh, lw, 2), dtype=np.float32)
+            flow = np.zeros(r0.shape[:-1] + (2,), dtype=np.float32)
         else:
             flow = _resize_bilinear_f32(flow, lh, lw) * (1.0 / params.pyramid_scale)
         m = _update_matrices(r0, r1, flow)
@@ -347,7 +411,7 @@ def farneback_flow(prev: Image | FlowPyramid, next: Image | FlowPyramid,
             flow = _update_flow(m, params.window_size)
             if it < params.iterations - 1:
                 m = _update_matrices(r0, r1, flow)
-    return FlowField(flow[..., 0], flow[..., 1])
+    return flow
 
 
 def stack_flows(flows, depth: int):

@@ -4,7 +4,9 @@ loop and the CLI phases both drive."""
 
 from __future__ import annotations
 
+import os
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -24,7 +26,14 @@ from .oodcore import (
     harmonic_fitness,
     score_frame,  # noqa: F401 - perfbench's tracer patches workflow.score_frame
 )
-from .optflow import FarnebackParams, FlowPyramid, expand_frame, farneback_flow, stack_flows
+from .optflow import (
+    FarnebackParams,
+    FlowPyramid,
+    expand_frame,
+    farneback_flow,
+    farneback_flows,
+    stack_flows,
+)
 from .pipeline import build_graph, run_in_order
 
 
@@ -47,16 +56,20 @@ class FlowHistory:
     flows: deque = field(default_factory=deque)
 
 
+def _flow_frame(img: Image, genome: Genome) -> Image:
+    """The flow frontend's per-image half: resize, sharpen, gray."""
+    h, w = genome.size
+    frame = imaging.resize(img, w, h, genome.interpolation)
+    return imaging.to_grayscale(imaging.sharpen(frame))
+
+
 def of_preprocess_step(img: Image, genome: Genome, fb: FarnebackParams,
                        hist: FlowHistory):
     """One frame through the flow frontend: resize, sharpen, polynomial
     expansion (kept for the next pair), dense flow against the previous
     frame, then channel stacking. Returns (u_stack, v_stack) or None while
     the history is warming up."""
-    h, w = genome.size
-    frame = imaging.resize(img, w, h, genome.interpolation)
-    frame = imaging.sharpen(frame)
-    frame = expand_frame(imaging.to_grayscale(frame), fb)
+    frame = expand_frame(_flow_frame(img, genome), fb)
     if hist.prev is not None:
         flow = farneback_flow(hist.prev, frame, fb)
         hist.flows.append(flow)
@@ -230,16 +243,39 @@ class FlowTrainContext:
     beta: float = 1e-3
 
 
+# Frame pairs per solved block: the block's float64 five-channel planes,
+# (pairs, H, W, 5), take about this many bytes, which stays inside one core's
+# L2 cache. A whole split in one batch leaves the cache and is slower than
+# solving pair by pair.
+FLOW_BLOCK_BYTES = 1 << 20
+# Within a block most of each numpy operation runs without the interpreter
+# lock, so two threads overlap; per-pair arrays are too small for that.
+FLOW_THREADS = min(2, os.cpu_count() or 1)
+
+
 def flow_stacks_for_sequences(genome: Genome, sequences, fb: FarnebackParams):
-    """All (u_stack, v_stack) pairs produced by the frontend over sequences."""
+    """All (u_stack, v_stack) pairs produced by the frontend over sequences,
+    bit for bit those that of_preprocess_step yields frame by frame. The
+    flows of each sequence are solved in blocks of consecutive frame pairs
+    on FLOW_THREADS threads; the stacks are read-only views of them."""
+    h, w = genome.size
+    pairs = max(1, FLOW_BLOCK_BYTES // (h * w * 5 * 8))
+    frames = [[_flow_frame(img, genome) for img in seq] for seq in sequences]
+    blocks = [(k, seq[s:s + pairs + 1])
+              for k, seq in enumerate(frames) for s in range(0, len(seq) - 1, pairs)]
+    chunks = [[] for _ in frames]
+    with ThreadPoolExecutor(FLOW_THREADS) as pool:
+        for (k, _), flows in zip(blocks, pool.map(lambda b: farneback_flows(b[1], fb), blocks)):
+            chunks[k].append(flows)
+    depth = genome.flow_depth
     us, vs = [], []
-    for seq in sequences:
-        hist = FlowHistory(depth=genome.flow_depth)
-        for img in seq:
-            stacks = of_preprocess_step(img, genome, fb, hist)
-            if stacks is not None:
-                us.append(stacks[0])
-                vs.append(stacks[1])
+    for seq_chunks in filter(None, chunks):
+        uv = np.moveaxis(np.concatenate(seq_chunks), -1, 0).copy()
+        uv.flags.writeable = False
+        u, v = uv
+        for t in range(depth, len(u) + 1):
+            us.append(u[t - depth:t])
+            vs.append(v[t - depth:t])
     return us, vs
 
 

@@ -428,6 +428,23 @@ def test_evaluate_refuses_stale_calibration(tmp_path, capsys):
     assert "model checksum" in capsys.readouterr().err
 
 
+def test_branch_models_of_different_genomes_refused(tmp_path, capsys):
+    from oodkit.network import load_model, save_model
+    run = _fresh_run(tmp_path, "mixed", OF_CONFIG, ["train"], ["calibrate"])
+    # main_v as a train for another interpolation leaves it, had it stopped
+    # before writing main_u: the geometry is the same, the genome is not
+    path_v = run / "models" / "main_v_f32.oodm"
+    model = load_model(path_v.read_bytes())
+    model.metadata["genome"]["interpolation"] = "bilinear"
+    path_v.write_bytes(save_model(model))
+    capsys.readouterr()
+    for phase in (["calibrate"], ["evaluate", "--precision", "f32"], ["quantize"]):
+        assert main(["--run-dir", str(run), *phase]) == 2
+        err = capsys.readouterr().err
+        assert "main_u_f32.oodm" in err and "main_v_f32.oodm" in err
+        assert "'area'" in err and "'bilinear'" in err
+
+
 def test_quantize_calibrates_f16_on_its_own_scores(tmp_path):
     from oodkit.dataset import load_dataset, split_images
     from oodkit.gasearch import Genome

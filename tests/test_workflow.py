@@ -204,9 +204,31 @@ def test_flow_stacks_equal_image_pair_reference(genome, fb):
             assert np.array_equal(g, w)
 
 
+def stream_stacks(genome, sequences, fb):
+    """Reference frontend: the deployed of_preprocess_step, frame by frame."""
+    us, vs = [], []
+    for seq in sequences:
+        hist = FlowHistory(depth=genome.flow_depth)
+        for img in seq:
+            stacks = of_preprocess_step(img, genome, fb, hist)
+            if stacks is not None:
+                us.append(stacks[0])
+                vs.append(stacks[1])
+    return us, vs
+
+
+def assert_same_stacks(got, want):
+    assert len(got[0]) == len(want[0]) == len(got[1]) == len(want[1])
+    for g_list, w_list in zip(got, want):
+        for g, w in zip(g_list, w_list):
+            assert g.dtype == w.dtype == np.float32
+            assert np.array_equal(g, w)
+
+
 def test_flow_hook_called_once_per_frame_pair(monkeypatch):
     """Tracers time the per-pair flow by wrapping workflow.farneback_flow:
-    the set-up and the stream both go through it once per frame pair."""
+    the stream goes through it once per frame pair. The set-up solves
+    blocks of pairs instead, and must yield the stream's stacks."""
     cfg = DatasetConfig(family="optflow", scenes=2, runs=4, frames_per_run=7,
                         seed=2, scene=SCENE)
     rows, images = generate_dataset(cfg)
@@ -218,11 +240,10 @@ def test_flow_hook_called_once_per_frame_pair(monkeypatch):
     def counted(prev, nxt, params):
         calls.append(1)
         return original(prev, nxt, params)
-    monkeypatch.setattr(workflow, "farneback_flow", counted)
     for seq in of_sequences(rows, images, "train"):
-        calls.clear()
-        flow_stacks_for_sequences(genome, [seq], fb)
-        assert len(calls) == len(seq) - 1
+        assert_same_stacks(flow_stacks_for_sequences(genome, [seq], fb),
+                           stream_stacks(genome, [seq], fb))
+    monkeypatch.setattr(workflow, "farneback_flow", counted)
     ctx = FlowTrainContext(
         train_sequences=of_sequences(rows, images, "train"),
         calib_sequences=of_sequences(rows, images, "calib"),
@@ -261,3 +282,109 @@ def test_flow_bundle_and_scoring_small():
         lambda s: score_stream(bundle, s), ctx.test_streams)
     assert set(factor_auroc) == {"rain", "snow"}
     assert 0.0 <= fitness <= 1.0
+
+
+# (height, width): three pyramid levels fit 64 x 64 at scale 0.5
+BLOCK_GENOME_SIZE = (64, 64)
+
+
+@pytest.fixture(scope="module")
+def block_sequences():
+    """Sequences of 0, 1, 6, 7, 2, 8 and 3 frames; at 3 pairs a block, the
+    8-frame one spans three blocks, the last holding a single pair."""
+    cfg = DatasetConfig(family="optflow", scenes=1, runs=4, frames_per_run=8,
+                        seed=5, scene=SceneParams(width=96, height=64, shift_per_frame=2))
+    rows, images = generate_dataset(cfg)
+    seq = of_sequences(rows, images, "train")[0]
+    return [seq[:0], seq[:1], seq[:6], seq[:7], seq[:2], seq, seq[:3]]
+
+
+@pytest.mark.parametrize("interpolation", imaging.RESIZE_METHODS)
+@pytest.mark.parametrize("depth", [2, 6])
+@pytest.mark.parametrize("levels,iterations", [(1, 3), (2, 1), (3, 2)])
+def test_flow_blocks_equal_per_frame_steps(monkeypatch, block_sequences,
+                                           interpolation, depth, levels, iterations):
+    genome = Genome("optflow", BLOCK_GENOME_SIZE, interpolation, flow_depth=depth)
+    fb = FarnebackParams(window_size=9, pyramid_levels=levels, iterations=iterations)
+    h, w = BLOCK_GENOME_SIZE
+    monkeypatch.setattr(workflow, "FLOW_BLOCK_BYTES", 3 * h * w * 5 * 8)
+    got = flow_stacks_for_sequences(genome, block_sequences, fb)
+    want = stream_stacks(genome, block_sequences, fb)
+    assert len(got[0]) == sum(max(0, len(s) - depth) for s in block_sequences) > 0
+    assert_same_stacks(got, want)
+    for stack in got[0] + got[1]:
+        assert stack.shape == (depth,) + BLOCK_GENOME_SIZE
+        assert not stack.flags.writeable
+
+
+def test_flow_blocks_of_one_pair_and_of_a_whole_sequence(monkeypatch, block_sequences):
+    genome = Genome("optflow", BLOCK_GENOME_SIZE, "bilinear", flow_depth=3)
+    fb = FarnebackParams(pyramid_levels=3)
+    want = stream_stacks(genome, block_sequences, fb)
+    for block_bytes in (1, 1 << 40):
+        monkeypatch.setattr(workflow, "FLOW_BLOCK_BYTES", block_bytes)
+        assert_same_stacks(flow_stacks_for_sequences(genome, block_sequences, fb), want)
+
+
+def test_flow_blocks_under_frequent_thread_switches(monkeypatch, block_sequences):
+    """More threads than cores, one pair a block, the kernels' shared caches
+    filled from the workers, and a thread switch every 10 µs."""
+    import sys
+
+    from oodkit import optflow
+    genome = Genome("optflow", BLOCK_GENOME_SIZE, "nearest", flow_depth=2)
+    fb = FarnebackParams(pyramid_levels=3, iterations=2)
+    want = stream_stacks(genome, block_sequences, fb)
+    monkeypatch.setattr(workflow, "FLOW_THREADS", 4)
+    monkeypatch.setattr(workflow, "FLOW_BLOCK_BYTES", 1)
+    for cached in (optflow._edge_index, optflow._gaussian_taps, optflow._border_scale,
+                   optflow._pixel_grid, optflow._pair_offsets):
+        cached.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got = flow_stacks_for_sequences(genome, block_sequences, fb)
+    finally:
+        sys.setswitchinterval(interval)
+    assert_same_stacks(got, want)
+
+
+def poisoned(original, when):
+    def kernel(*args):
+        out = original(*args)
+        if when(*args):
+            out = out.copy()
+            out[..., 1, 2, 0] = np.nan
+        return out
+    return kernel
+
+
+@pytest.mark.parametrize("failure", ["nan_flow", "worker_raises"])
+def test_flow_block_failures_surface_and_threads_end(monkeypatch, block_sequences, failure):
+    import threading
+
+    from oodkit import optflow
+    genome = Genome("optflow", BLOCK_GENOME_SIZE, "area", flow_depth=2)
+    fb = FarnebackParams(pyramid_levels=2)
+    h, w = BLOCK_GENOME_SIZE
+    monkeypatch.setattr(workflow, "FLOW_BLOCK_BYTES", 3 * h * w * 5 * 8)
+    before = threading.active_count()
+    flow_stacks_for_sequences(genome, block_sequences, fb)
+    assert threading.active_count() == before
+    if failure == "nan_flow":
+        # only the single-pair blocks' flows turn non-finite
+        monkeypatch.setattr(optflow, "_solve", poisoned(
+            optflow._solve, lambda planes0, planes1, params: planes0[0].shape[:-3] == (1,)))
+        expected = pytest.raises(ValueError, match="flow field contains non-finite values")
+    else:
+        original = workflow.farneback_flows
+
+        def flows(frames, params):
+            if len(frames) == 2:
+                raise RuntimeError("worker failed")
+            return original(frames, params)
+        monkeypatch.setattr(workflow, "farneback_flows", flows)
+        expected = pytest.raises(RuntimeError, match="worker failed")
+    with expected:
+        flow_stacks_for_sequences(genome, block_sequences, fb)
+    assert threading.active_count() == before
