@@ -4,6 +4,7 @@ validation of the requirement/range invariants."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -81,12 +82,22 @@ class ExperimentConfig:
         self.requirements.validate()
         if not self.delta_grid:
             raise ValueError("delta_grid must be nonempty")
-        for p in self.precisions:
-            if p not in PRECISIONS:
-                raise ValueError(f"unknown precision {p!r}")
-        for e in self.executors:
-            if e not in EXECUTOR_KINDS:
-                raise ValueError(f"unknown executor {e!r}")
+        for d in self.delta_grid:
+            if not (_is_number(d) and math.isfinite(d) and d >= 0):
+                raise ValueError(f"delta_grid entries must be finite numbers >= 0, got {d!r}")
+        for key, values, known in (("precision", self.precisions, PRECISIONS),
+                                   ("executor", self.executors, EXECUTOR_KINDS)):
+            for v in values:
+                if v not in known:
+                    raise ValueError(f"unknown {key} {v!r}")
+            if not values or len(set(values)) != len(values):
+                raise ValueError(f"{key}s must be nonempty, without repeats, got {list(values)}")
+        rate = self.bench.rate_fps
+        if rate is not None and not (_is_number(rate) and rate > 0):
+            raise ValueError(f"bench.rate_fps must be null or > 0, got {rate!r}")
+        duration = self.bench.throughput_duration_s
+        if not (_is_number(duration) and duration > 0):
+            raise ValueError(f"bench.throughput_duration_s must be > 0, got {duration!r}")
         if self.variance_parametrization not in VAR_PARAMS:
             raise ValueError(
                 f"unknown variance_parametrization {self.variance_parametrization!r}")
@@ -100,6 +111,10 @@ class ExperimentConfig:
         for name in self.ga.buckets:
             bucket_from_config(self, name)
         return self
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def default_config(family: str = BVAE) -> ExperimentConfig:

@@ -1,6 +1,6 @@
 """Dense optical flow: Gaussian-weighted quadratic expansion of image
-neighborhoods, coarse-to-fine displacement estimation, flow stacking for the
-motion-based detector.
+neighborhoods and coarse-to-fine displacement estimation, the (H, W, 2) f32
+flow with (u right, v down) in the last axis.
 
 The kernels take any number of leading axes and index the image axes from the
 end, so one call can solve a block of frame pairs: every float operation is
@@ -44,36 +44,8 @@ class FarnebackParams:
         _poly_taps(self.poly_n, self.poly_sigma)
 
 
-class FlowField:
-    """Per-pixel displacement (u right, v down), finite everywhere."""
-
-    __slots__ = ("u", "v")
-
-    def __init__(self, u: np.ndarray, v: np.ndarray):
-        u = np.ascontiguousarray(u, dtype=np.float32)
-        v = np.ascontiguousarray(v, dtype=np.float32)
-        if u.shape != v.shape or u.ndim != 2:
-            raise ValueError(f"u/v must be equal 2-d arrays, got {u.shape} vs {v.shape}")
-        _require_finite(u, v)
-        u.flags.writeable = False
-        v.flags.writeable = False
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FlowField is immutable")
-
-    @property
-    def height(self) -> int:
-        return self.u.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.u.shape[1]
-
-
-def _require_finite(*arrays):
-    if not all(np.isfinite(a).all() for a in arrays):
+def _require_finite(flow: np.ndarray):
+    if not np.isfinite(flow).all():
         raise ValueError("flow field contains non-finite values")
 
 
@@ -375,21 +347,23 @@ def _expanded(frame: Image | FlowPyramid, params: FarnebackParams) -> FlowPyrami
 
 
 def farneback_flow(prev: Image | FlowPyramid, next: Image | FlowPyramid,
-                   params: FarnebackParams = FarnebackParams()) -> FlowField:
-    """Coarse-to-fine dense flow from prev to next; either frame may come
-    already expanded by expand_frame with the same params."""
+                   params: FarnebackParams = FarnebackParams()) -> np.ndarray:
+    """Coarse-to-fine dense flow from prev to next: the read-only (H, W, 2)
+    f32 flow, (u, v) in the last axis, finite everywhere. Either frame may
+    come already expanded by expand_frame with the same params."""
     if (prev.width, prev.height) != (next.width, next.height):
         raise ValueError(
             f"frame dimensions differ: {prev.width}x{prev.height} vs {next.width}x{next.height}")
     flow = _solve(_expanded(prev, params).planes, _expanded(next, params).planes, params)
-    return FlowField(flow[..., 0], flow[..., 1])
+    _require_finite(flow)
+    return _frozen(flow)
 
 
 def farneback_flows(frames, params: FarnebackParams = FarnebackParams()) -> np.ndarray:
     """Dense flow of each consecutive pair of a block of equal-sized frames:
     the (len(frames) - 1, H, W, 2) f32 flows, (u, v) in the last axis. Each
-    one equals farneback_flow of its pair bit for bit; non-finite flows are
-    refused as FlowField refuses them."""
+    one equals farneback_flow of its pair bit for bit, and non-finite flows
+    are refused as it refuses them."""
     planes = _expand(np.stack([_gray_f32(img) for img in frames]), params)
     flow = _solve([p[:-1] for p in planes], [p[1:] for p in planes], params)
     _require_finite(flow)
@@ -412,25 +386,3 @@ def _solve(planes0, planes1, params: FarnebackParams) -> np.ndarray:
             if it < params.iterations - 1:
                 m = _update_matrices(r0, r1, flow)
     return flow
-
-
-def stack_flows(flows, depth: int):
-    """Channel stacks of the most recent `depth` flows, oldest first.
-
-    Returns (u_stack, v_stack), each (depth, H, W) f32, or None while the
-    history is still warming up (fewer than `depth` flows seen).
-    """
-    flows = list(flows)
-    if not 2 <= depth <= 6:
-        raise ValueError(f"flow depth must lie in [2, 6], got {depth}")
-    if len(flows) < depth:
-        return None
-    recent = flows[-depth:]
-    hw = (recent[0].height, recent[0].width)
-    for f in recent:
-        if (f.height, f.width) != hw:
-            raise ValueError("stacked flows must share dimensions")
-    u = np.stack([f.u for f in recent]).astype(np.float32)
-    v = np.stack([f.v for f in recent]).astype(np.float32)
-    return u, v
-

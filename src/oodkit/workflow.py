@@ -5,7 +5,6 @@ loop and the CLI phases both drive."""
 from __future__ import annotations
 
 import os
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -32,7 +31,6 @@ from .optflow import (
     expand_frame,
     farneback_flow,
     farneback_flows,
-    stack_flows,
 )
 from .pipeline import build_graph, run_in_order
 
@@ -49,11 +47,11 @@ def preprocess_bvae(img: Image, genome: Genome) -> np.ndarray:
 @dataclass
 class FlowHistory:
     """Streaming state of the flow frontend: the previous frame's expansion
-    and the recent flows."""
+    and the last `depth` (H, W, 2) flows, oldest first."""
 
     depth: int
     prev: Optional[FlowPyramid] = None
-    flows: deque = field(default_factory=deque)
+    flows: list = field(default_factory=list)
 
 
 def _flow_frame(img: Image, genome: Genome) -> Image:
@@ -63,22 +61,30 @@ def _flow_frame(img: Image, genome: Genome) -> Image:
     return imaging.to_grayscale(imaging.sharpen(frame))
 
 
+def _uv_planes(flows) -> np.ndarray:
+    """The read-only (2, T, H, W) f32 u and v planes of a run of T (H, W, 2)
+    flows, given as one array or as a list."""
+    uv = np.moveaxis(flows, -1, 0).copy()
+    uv.flags.writeable = False
+    return uv
+
+
 def of_preprocess_step(img: Image, genome: Genome, fb: FarnebackParams,
                        hist: FlowHistory):
     """One frame through the flow frontend: resize, sharpen, polynomial
     expansion (kept for the next pair), dense flow against the previous
-    frame, then channel stacking. Returns (u_stack, v_stack) or None while
-    the history is warming up."""
+    frame, then channel stacking. Returns (u_stack, v_stack), each a
+    read-only (depth, H, W) f32 array, or None while the history is warming
+    up."""
     frame = expand_frame(_flow_frame(img, genome), fb)
     if hist.prev is not None:
-        flow = farneback_flow(hist.prev, frame, fb)
-        hist.flows.append(flow)
-        while len(hist.flows) > hist.depth:
-            hist.flows.popleft()
+        hist.flows.append(farneback_flow(hist.prev, frame, fb))
+        del hist.flows[:-hist.depth]
     hist.prev = frame
     if len(hist.flows) < hist.depth:
         return None
-    return stack_flows(hist.flows, hist.depth)
+    u, v = _uv_planes(hist.flows)
+    return u, v
 
 
 class _Detector:
@@ -270,9 +276,7 @@ def flow_stacks_for_sequences(genome: Genome, sequences, fb: FarnebackParams):
     depth = genome.flow_depth
     us, vs = [], []
     for seq_chunks in filter(None, chunks):
-        uv = np.moveaxis(np.concatenate(seq_chunks), -1, 0).copy()
-        uv.flags.writeable = False
-        u, v = uv
+        u, v = _uv_planes(np.concatenate(seq_chunks))
         for t in range(depth, len(u) + 1):
             us.append(u[t - depth:t])
             vs.append(v[t - depth:t])

@@ -147,13 +147,13 @@ def test_criterion_3_farneback():
     t0 = time.time()
     frame = textured_frame(7, size=64)
     still = farneback_flow(frame, frame)
-    max_still = max(np.abs(still.u).max(), np.abs(still.v).max())
+    max_still = max(np.abs(still[..., 0]).max(), np.abs(still[..., 1]).max())
 
     prev = textured_frame(7, size=64, shift=0)
     nxt = textured_frame(7, size=64, shift=3)
     flow = farneback_flow(prev, nxt)
     inner = np.s_[8:56, 8:56]  # central 75%
-    epe = np.sqrt((flow.u[inner] - 3.0) ** 2 + flow.v[inner] ** 2).mean()
+    epe = np.sqrt((flow[..., 0][inner] - 3.0) ** 2 + flow[..., 1][inner] ** 2).mean()
     elapsed = time.time() - t0
     report(3, max_still <= 0.1 and epe <= 0.5 and elapsed < 10,
            f"still max {max_still:.3f}px, (3,0) translation mean EPE {epe:.3f}px ({elapsed:.1f}s)")

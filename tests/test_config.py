@@ -123,6 +123,48 @@ def test_malformed_bucket_refused_at_load(tmp_path, family, sizes):
                  "dataset-generate"]) == 2
 
 
+@pytest.mark.parametrize("override,message", [
+    ({"bench": {"rate_fps": -5}}, "bench.rate_fps must be null or > 0, got -5"),
+    ({"bench": {"rate_fps": 0}}, "bench.rate_fps must be null or > 0, got 0"),
+    ({"bench": {"rate_fps": "fast"}}, "bench.rate_fps must be null or > 0, got 'fast'"),
+    ({"bench": {"throughput_duration_s": 0}}, "bench.throughput_duration_s must be > 0, got 0"),
+    ({"bench": {"throughput_duration_s": -1.5}},
+     "bench.throughput_duration_s must be > 0, got -1.5"),
+    ({"delta_grid": [0.1, -0.2]}, "delta_grid entries must be finite numbers >= 0, got -0.2"),
+    ({"delta_grid": [0.1, "a"]}, "delta_grid entries must be finite numbers >= 0, got 'a'"),
+    ({"delta_grid": [0.1, None]}, "delta_grid entries must be finite numbers >= 0, got None"),
+    ({"delta_grid": [True]}, "delta_grid entries must be finite numbers >= 0, got True"),
+    ({"precisions": []}, "precisions must be nonempty, without repeats, got []"),
+    ({"precisions": ["f32", "qint8", "f32"]},
+     "precisions must be nonempty, without repeats, got ['f32', 'qint8', 'f32']"),
+    ({"executors": []}, "executors must be nonempty, without repeats, got []"),
+    ({"executors": ["mono_st", "mono_st"]},
+     "executors must be nonempty, without repeats, got ['mono_st', 'mono_st']"),
+])
+def test_bench_sweep_and_matrix_settings_refused_at_load(tmp_path, capsys, override, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        config_from_dict(override)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(override))
+    # the phase that reads the key fails at load, before it writes anything
+    phase = "sweep-delta" if "delta_grid" in override else "bench"
+    run = tmp_path / "run"
+    assert main(["--run-dir", str(run), "--config", str(path), phase]) == 2
+    assert message in capsys.readouterr().err
+    assert list(run.iterdir()) == []
+
+
+def test_bench_settings_accept_their_edge_values():
+    cfg = config_from_dict({"bench": {"rate_fps": None, "throughput_duration_s": 0.1},
+                            "delta_grid": [0, 0.5], "precisions": ["qint8"],
+                            "executors": ["mono_mt"]})
+    assert cfg.bench.rate_fps is None and cfg.delta_grid == (0, 0.5)
+    with pytest.raises(ValueError, match="delta_grid entries"):
+        config_from_dict({"delta_grid": [float("nan")]})
+    with pytest.raises(ValueError, match="delta_grid entries"):
+        config_from_dict({"delta_grid": [float("inf")]})
+
+
 def test_variance_parametrization_validated():
     with pytest.raises(ValueError, match="variance_parametrization"):
         config_from_dict({"variance_parametrization": "std"})

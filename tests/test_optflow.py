@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from oodkit import optflow
 from oodkit.imaging import Image
 from oodkit.optflow import (
     FarnebackParams,
-    FlowField,
     _border_scale,
     _box_filter,
     _correlate_axis,
@@ -14,7 +14,7 @@ from oodkit.optflow import (
     _update_matrices,
     expand_frame,
     farneback_flow,
-    stack_flows,
+    farneback_flows,
 )
 
 
@@ -219,8 +219,8 @@ def test_update_matrices_bit_equal_to_fancy_index(h, w):
 def test_flow_identical_frames():
     img = textured_frame(3)
     f = farneback_flow(img, img)
-    assert np.abs(f.u).max() <= 0.1
-    assert np.abs(f.v).max() <= 0.1
+    assert np.abs(f[..., 0]).max() <= 0.1
+    assert np.abs(f[..., 1]).max() <= 0.1
 
 
 def test_flow_translation():
@@ -228,15 +228,15 @@ def test_flow_translation():
     nxt = textured_frame(7, size=64, shift=3)  # content moves +3 px in x
     f = farneback_flow(prev, nxt)
     inner = np.s_[8:-8, 8:-8]
-    assert 2.5 <= float(np.mean(f.u[inner])) <= 3.5
-    assert float(np.mean(np.abs(f.v[inner]))) <= 0.3
+    assert 2.5 <= float(np.mean(f[..., 0][inner])) <= 3.5
+    assert float(np.mean(np.abs(f[..., 1][inner]))) <= 0.3
 
 
 def test_flow_constant_frames():
     img = Image(np.full((48, 48, 1), 77, np.uint8))
     f = farneback_flow(img, img)
-    assert np.abs(f.u).max() <= 0.1
-    assert np.abs(f.v).max() <= 0.1
+    assert np.abs(f[..., 0]).max() <= 0.1
+    assert np.abs(f[..., 1]).max() <= 0.1
 
 
 def test_flow_shift_antisymmetry():
@@ -246,7 +246,25 @@ def test_flow_shift_antisymmetry():
         b = textured_frame(11, size=64, shift=s)
         fab = farneback_flow(a, b)
         fba = farneback_flow(b, a)
-        assert abs(np.mean(fab.u[inner]) + np.mean(fba.u[inner])) <= 0.5, f"shift {s}"
+        assert abs(np.mean(fab[..., 0][inner]) + np.mean(fba[..., 0][inner])) <= 0.5, f"shift {s}"
+
+
+def test_farneback_flow_contract(monkeypatch):
+    """The per-pair flow is the read-only (H, W, 2) f32 array that each slice
+    of the batched flows is, and a non-finite solve is refused."""
+    fb = FarnebackParams(pyramid_levels=2, iterations=2)
+    a = textured_frame(6, size=32, shift=0)
+    b = textured_frame(6, size=32, shift=1)
+    f = farneback_flow(a, b, fb)
+    assert f.shape == (32, 32, 2) and f.dtype == np.float32
+    assert not f.flags.writeable
+    with pytest.raises(ValueError):
+        f[0, 0, 0] = 1.0
+    assert np.array_equal(f, farneback_flows([a, b], fb)[0])
+    monkeypatch.setattr(optflow, "_solve",
+                        lambda planes0, planes1, params: np.full((32, 32, 2), np.nan, np.float32))
+    with pytest.raises(ValueError, match="flow field contains non-finite values"):
+        farneback_flow(a, b, fb)
 
 
 def test_flow_dimension_mismatch():
@@ -265,7 +283,7 @@ def test_flow_from_pyramids_equals_flow_from_images():
     assert len(pa.planes) == 3 and (pa.width, pa.height) == (64, 64)
     for prev, nxt in ((pa, pb), (a, pb), (pa, b)):
         got = farneback_flow(prev, nxt, fb)
-        assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
+        assert np.array_equal(got, want)
 
 
 def test_pyramid_must_match_params_and_size():
@@ -288,27 +306,6 @@ def test_pyramid_is_read_only():
         pa.planes[0][0, 0, 0] = 1.0
     with pytest.raises(AttributeError):
         pa.planes = ()
-
-
-def make_flow(k, h=4, w=5):
-    return FlowField(np.full((h, w), float(k), np.float32), np.full((h, w), -float(k), np.float32))
-
-
-def test_stack_flows_ordering():
-    flows = [make_flow(1), make_flow(2)]
-    u, v = stack_flows(flows, 2)
-    assert u.shape == (2, 4, 5)
-    assert u[0, 0, 0] == 1 and u[1, 0, 0] == 2
-    assert v[0, 0, 0] == -1
-
-
-def test_stack_flows_warmup_and_window():
-    assert stack_flows([make_flow(1)], 2) is None
-    flows = [make_flow(k) for k in range(1, 9)]
-    u, _ = stack_flows(flows, 6)
-    assert [int(u[i, 0, 0]) for i in range(6)] == [3, 4, 5, 6, 7, 8]
-    with pytest.raises(ValueError):
-        stack_flows(flows, 7)
 
 
 def test_farneback_params_validation():

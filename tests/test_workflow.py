@@ -17,7 +17,7 @@ from oodkit.gasearch import Genome
 from oodkit.imaging import SceneParams
 from oodkit.network import TrainOpts, model_checksum, quantize_model
 from oodkit.oodcore import CalibrationMismatchError, PostprocessConfig, build_calibration
-from oodkit.optflow import FarnebackParams, farneback_flow, stack_flows
+from oodkit.optflow import FarnebackParams, farneback_flow
 from oodkit.workflow import (
     BvaeBundle,
     BvaeTrainContext,
@@ -165,9 +165,12 @@ def test_of_preprocess_warmup_contract():
     # frame 0 has no flow; flows accumulate until depth 3 is reached at frame 3
     assert outs[0] is None and outs[1] is None and outs[2] is None
     assert outs[3] is not None
-    u, v = outs[3]
-    assert u.shape == (3, 24, 32) and v.shape == (3, 24, 32)
     assert all(o is not None for o in outs[3:])
+    for u, v in outs[3:]:
+        assert u.shape == (3, 24, 32) and v.shape == (3, 24, 32)
+        assert u.dtype == v.dtype == np.float32
+        assert not u.flags.writeable and not v.flags.writeable
+    assert len(hist.flows) == 3
 
 
 def image_pair_stacks(genome, sequences, fb):
@@ -180,9 +183,9 @@ def image_pair_stacks(genome, sequences, fb):
             imaging.resize(img, w, h, genome.interpolation))) for img in seq]
         flows = [farneback_flow(a, b, fb) for a, b in zip(frames, frames[1:])]
         for i in range(genome.flow_depth, len(flows) + 1):
-            u, v = stack_flows(flows[:i], genome.flow_depth)
-            us.append(u)
-            vs.append(v)
+            window = flows[i - genome.flow_depth:i]
+            us.append(np.stack([f[..., 0] for f in window]))
+            vs.append(np.stack([f[..., 1] for f in window]))
     return us, vs
 
 
